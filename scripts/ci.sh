@@ -99,6 +99,16 @@ if [[ "$run_tests" -eq 1 ]]; then
         echo "ci.sh: repro sched is not deterministic under a fixed seed" >&2
         exit 1
     }
+    echo "== repro sched golden diff (engine optimisation bit-identity)"
+    # tests/golden/sched_quick holds the CSVs this seeded run produced
+    # before the engine planned each job once per run. The determinism
+    # diff above only compares a commit with itself; this one compares
+    # it with the recorded schedule, so any drift in admission order,
+    # caps or start times fails here.
+    diff -r tests/golden/sched_quick "$sched_a" || {
+        echo "ci.sh: repro sched --quick --seed 11 drifted from the golden CSVs" >&2
+        exit 1
+    }
     rm -rf "$sched_a" "$sched_b"
     echo "== repro cluster golden diff (backend refactor bit-identity)"
     # tests/golden/cluster_quick holds the CSVs the seeded quick cluster
