@@ -270,6 +270,33 @@ fn bench_cluster(c: &mut Criterion) {
         })
     });
 
+    // The same loop with a deep queue: 2048 jobs arriving 4× faster than
+    // the default trace onto 256 nodes under a 75 W/node envelope, so
+    // the queue stays deep behind the envelope. The 64-job queue above never
+    // gets deep enough for the head reservation and the backfill scan to
+    // matter.
+    let deep_cfg = sched::SchedConfig {
+        machine: sched::MachineConfig {
+            nodes: 256,
+            envelope_w: 75.0 * 256.0,
+            ..sched::MachineConfig::default()
+        },
+        trace: sched::TraceConfig {
+            jobs: 2048,
+            mean_interarrival_s: 7.5,
+            ..sched::TraceConfig::default()
+        },
+        ..sched::SchedConfig::default()
+    };
+    g.bench_function("sched_2048jobs_256n", |b| {
+        b.iter(|| {
+            let out =
+                sched::simulate(black_box(&deep_cfg), sched::SchedPolicy::EcoBackfill).unwrap();
+            assert!(out.min_envelope_slack_w >= -1e-6);
+            black_box(out)
+        })
+    });
+
     // The daemon service loop at scale: 1000 telemetry producers through
     // the full ingest → police → lease → redistribute → grant cycle over
     // clean in-process wires (snapshotting off, so this isolates the

@@ -887,6 +887,36 @@ mod tests {
     }
 
     #[test]
+    fn rebudgeting_a_megawatt_pool_stays_within_the_slack() {
+        // 50k nodes near 5 MW: the waterfill's grants are exact in real
+        // arithmetic, but their f64 sum rounded past these budgets by
+        // more than the absolute EPS_W slack, scaling down to 5.01 MW and
+        // spreading leftover up to 5.94 MW, and tripped the
+        // Σ grants ≤ budget assert inside `set_budget`.
+        let n = 50_000;
+        let mut a = PowerArbiter::new(
+            ArbiterConfig {
+                budget_w: 5.0e6,
+                min_cap_w: 40.0,
+                max_cap_w: 130.0,
+                policy: Policy::ProgressFeedback { gain: 0.8 },
+            },
+            n,
+        )
+        .with_tracing(false);
+        let reports: Vec<_> = (0..n)
+            .map(|i| report(1.0 + (i * 7919 % 1000) as f64 * 1e-3, 100.0))
+            .collect();
+        a.redistribute(&reports).unwrap();
+        for budget in [5_011_900.2, 5_944_666.621] {
+            let mut b = a.clone();
+            b.set_budget(budget);
+            let total: f64 = b.grants().iter().sum();
+            assert!(total <= budget + EPS_W, "Σ {total} W > {budget} W");
+        }
+    }
+
+    #[test]
     fn untraced_arbiter_grants_are_bit_identical() {
         let gain = Policy::ProgressFeedback { gain: 1.0 };
         let mut traced = PowerArbiter::new(cfg(gain), 4);

@@ -18,7 +18,7 @@
 //! `[min, max]`, while a rack's sub-budget clamp scales with the rack's
 //! size (and can be tightened per rack by the operator).
 
-use crate::arbiter::{NodeTelemetry, Policy};
+use crate::arbiter::{NodeTelemetry, Policy, EPS_W};
 use crate::error::ConfigError;
 
 /// The executable form of a [`Policy`]: computes desired grants for the
@@ -305,7 +305,9 @@ pub(crate) fn rebalance(
 /// per-child `[min, max]` ranges, then scale the above-floor portions
 /// down to fit `pool`, or push leftover pool into the remaining headroom
 /// (proportionally, so nobody exceeds its max). The result always
-/// satisfies Σ ≤ pool and the per-child clamps, provided `pool ≥ Σ min`.
+/// satisfies the per-child clamps and, provided `pool ≥ Σ min`,
+/// Σ ≤ pool up to the `EPS_W` rounding slack (see
+/// [`trim_rounding_excess`]).
 ///
 /// A single child is special-cased to receive exactly
 /// `pool.clamp(min, max)`: the scaling algebra would only reconstruct
@@ -358,6 +360,34 @@ pub(crate) fn waterfill_into(
                 *g += (hi - *g) * s;
             }
         }
+    }
+    trim_rounding_excess(pool, min, out);
+}
+
+/// Keep the rounding of Σ out within the `EPS_W` slack the arbiters'
+/// Σ grants ≤ budget checks allow. The fill algebra is exact in real
+/// arithmetic, but the sequential f64 sum of its result can round past
+/// the pool: by a few ulps at kilowatt pools, which the slack absorbs,
+/// and by more than `EPS_W` over 50k children at a 5 MW pool. Only that
+/// second case is trimmed, back to Σ ≤ pool, so every result the slack
+/// already covered stays bit-identical. The excess comes off the last
+/// child above its floor: only the final addition of the sum sees the
+/// change, so one cut almost always suffices; the cut doubles if
+/// rounding swallows it.
+fn trim_rounding_excess(pool: f64, min: &[f64], out: &mut [f64]) {
+    let mut total: f64 = out.iter().sum();
+    if total <= pool + EPS_W {
+        return;
+    }
+    let mut widen = 1.0;
+    while total > pool {
+        // No child above its floor means pool < Σ min: nothing to trim.
+        let Some(k) = (0..out.len()).rev().find(|&k| out[k] > min[k]) else {
+            return;
+        };
+        out[k] = (out[k] - (total - pool) * widen).max(min[k]);
+        total = out.iter().sum();
+        widen *= 2.0;
     }
 }
 

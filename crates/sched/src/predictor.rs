@@ -99,10 +99,13 @@ impl PowerPredictor {
 
     /// The characterized model for one class.
     pub fn model(&self, class: WorkloadClass) -> &ProgressModel {
-        let idx = WorkloadClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("ALL is exhaustive");
+        // Indices follow the `WorkloadClass::ALL` order `models` is built in.
+        let idx = match class {
+            WorkloadClass::ComputeBound => 0,
+            WorkloadClass::MonteCarlo => 1,
+            WorkloadClass::Solver => 2,
+            WorkloadClass::Streaming => 3,
+        };
         &self.models[idx]
     }
 
