@@ -34,9 +34,9 @@
 //!   jittered exponential reconnect backoff, shed-hint compliance; it
 //!   implements [`cluster::GrantSource`], so cluster members consume
 //!   daemon grants exactly like in-process ones.
-//! - [`loadgen`] — a lockstep in-process load generator driving
-//!   thousands of simulated producers, with seeded faults and a
-//!   mid-run crash/restore, reproducible bit-for-bit.
+//! - [`loadgen`] — the crate's one load generator: lockstep and
+//!   in-process, driving thousands of simulated producers with seeded
+//!   faults and a mid-run crash/restore, reproducible bit-for-bit.
 
 pub mod client;
 pub mod daemon;
@@ -49,10 +49,7 @@ pub mod wire;
 
 pub use client::{ClientStats, GrantClient};
 pub use daemon::{Daemon, DaemonConfig};
-pub use loadgen::{
-    run_concurrent_loadgen, run_loadgen, ConcurrentConfig, ConcurrentReport, FaultKnobs,
-    LoadgenConfig, LoadgenReport,
-};
+pub use loadgen::{run_loadgen, FaultKnobs, LoadgenConfig, LoadgenReport};
 pub use proto::Msg;
 pub use service::{ArbiterService, ServiceConfig, ServiceStats};
 pub use sharded::{shard_spans, ShardedDaemon, ShardedService};

@@ -30,17 +30,13 @@
 //! shard at once (the single-daemon legacy shape). Clients notice only
 //! through their wires dying.
 //!
-//! [`run_concurrent_loadgen`] is the wall-clock sibling: genuinely
-//! concurrent TCP clients from a thread pool with seeded jitter against
-//! live [`ShardedDaemon`] sockets. It measures throughput and checks
-//! Σ ≤ budget, but makes no bitwise claims — lockstep mode is the
-//! bitwise-reference path.
+//! `repro loadgen`, the CI soak and the benches all drive this one
+//! generator. Live TCP sockets under concurrent producers are exercised
+//! by the [`crate::sharded`] tests.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use cluster::{ArbiterConfig, BudgetArbiter, ConfigError, NodeTelemetry, Policy, PowerArbiter};
 use nrm::Backoff;
@@ -48,8 +44,8 @@ use nrm::Backoff;
 use crate::client::{ClientStats, GrantClient};
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceConfig, ServiceStats};
-use crate::sharded::{shard_spans, ShardedDaemon, ShardedService};
-use crate::wire::{FaultyWire, PipeWire, TcpWire, Wire, WireFaultPlan};
+use crate::sharded::ShardedService;
+use crate::wire::{FaultyWire, PipeWire, Wire, WireFaultPlan};
 
 /// Transport-fault knobs for the simulated cluster.
 #[derive(Debug, Clone)]
@@ -885,249 +881,6 @@ fn add_client_stats(a: ClientStats, b: ClientStats) -> ClientStats {
     }
 }
 
-/// A wall-clock scenario for [`run_concurrent_loadgen`]: thread-pooled
-/// TCP producer groups against live [`ShardedDaemon`] sockets.
-#[derive(Debug, Clone)]
-pub struct ConcurrentConfig {
-    /// Daemon shards (each on its own listener).
-    pub shards: usize,
-    /// Simulated producers, machine-wide.
-    pub producers: usize,
-    /// Producers multiplexed per TCP connection.
-    pub batch: usize,
-    /// Worker threads driving the connections.
-    pub threads: usize,
-    /// Telemetry rounds each group sends.
-    pub rounds: u64,
-    /// Jitter seed (micro-sleep schedule per worker).
-    pub seed: u64,
-    /// Budget per producer, W.
-    pub budget_per_client_w: f64,
-    /// Per-node grant floor, W.
-    pub min_cap_w: f64,
-    /// Per-node grant ceiling, W.
-    pub max_cap_w: f64,
-    /// Daemon arbitration period.
-    pub tick_period: Duration,
-    /// Outer re-split period, daemon ticks.
-    pub outer_period: u64,
-}
-
-impl Default for ConcurrentConfig {
-    fn default() -> Self {
-        Self {
-            shards: 2,
-            producers: 64,
-            batch: 8,
-            threads: 4,
-            rounds: 20,
-            seed: 1,
-            budget_per_client_w: 100.0,
-            min_cap_w: 40.0,
-            max_cap_w: 130.0,
-            tick_period: Duration::from_millis(2),
-            outer_period: 4,
-        }
-    }
-}
-
-/// What the concurrent run measured. No bitwise claims here — lockstep
-/// mode is the reference path; this one exists to put real threads,
-/// real sockets, and real contention on the daemon.
-#[derive(Debug, Clone)]
-pub struct ConcurrentReport {
-    /// Telemetry messages sent (batch members counted individually).
-    pub telemetry_sent: u64,
-    /// Grant messages received across all workers.
-    pub grants_seen: u64,
-    /// Wall-clock duration of the send/receive phase.
-    pub elapsed: Duration,
-    /// `telemetry_sent / elapsed`.
-    pub msgs_per_sec: f64,
-    /// Σ grants ≤ budget held at the coordinator's every epoch and at
-    /// the final observation.
-    pub invariant_ok: bool,
-    /// Largest Σ grants the coordinator observed, W.
-    pub max_sum_grants_w: f64,
-    /// Machine budget, W.
-    pub budget_w: f64,
-}
-
-/// Drive genuinely concurrent TCP producers — `threads` workers, each
-/// owning whole multiplexed connections, with a seeded per-worker
-/// jitter schedule — against a live [`ShardedDaemon`].
-///
-/// # Panics
-/// Panics on zero shards/producers/batch/threads, or when a listener
-/// cannot bind.
-pub fn run_concurrent_loadgen(cfg: &ConcurrentConfig) -> ConcurrentReport {
-    assert!(
-        cfg.shards > 0 && cfg.producers >= cfg.shards,
-        "bad shard count"
-    );
-    assert!(
-        cfg.batch > 0 && cfg.threads > 0 && cfg.rounds > 0,
-        "bad scale knobs"
-    );
-
-    let machine = ArbiterConfig {
-        budget_w: cfg.budget_per_client_w * cfg.producers as f64,
-        min_cap_w: cfg.min_cap_w,
-        max_cap_w: cfg.max_cap_w,
-        policy: Policy::ProgressFeedback { gain: 1.0 },
-    };
-    // Generous service limits: this run measures transport throughput,
-    // not shedding behaviour (which has its own lockstep scenarios).
-    let service = ServiceConfig {
-        queue_depth: (cfg.producers * 4).max(4096),
-        rate_capacity: 1e9,
-        rate_refill: 1e9,
-        lease_ticks: 1 << 20,
-        snapshot_every: 0,
-        ..ServiceConfig::default()
-    };
-    let mut make = |_i: usize, shard_cfg: ArbiterConfig, k: usize| {
-        let arbiter: Box<dyn BudgetArbiter> =
-            Box::new(PowerArbiter::new(shard_cfg, k).with_tracing(false));
-        ArbiterService::new(arbiter, service.clone())
-    };
-    let daemon = ShardedDaemon::spawn(
-        &machine,
-        cfg.producers,
-        cfg.shards,
-        cfg.outer_period,
-        crate::daemon::DaemonConfig {
-            tick_period: cfg.tick_period,
-            ..crate::daemon::DaemonConfig::default()
-        },
-        &mut make,
-    )
-    .expect("sharded daemon must spawn");
-
-    // Groups: (shard, local_start, global_start, count), dealt
-    // round-robin to the workers.
-    let spans = shard_spans(cfg.producers, cfg.shards);
-    let mut groups: Vec<(usize, u32, usize, u32)> = Vec::new();
-    for (shard, span) in spans.iter().enumerate() {
-        let mut local = 0usize;
-        while local < span.len() {
-            let count = cfg.batch.min(span.len() - local);
-            groups.push((shard, local as u32, span.start + local, count as u32));
-            local += count;
-        }
-    }
-
-    let telemetry_sent = Arc::new(AtomicU64::new(0));
-    let grants_seen = Arc::new(AtomicU64::new(0));
-    let connect_ok = Arc::new(AtomicBool::new(true));
-    let addrs = daemon.addrs().to_vec();
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for w in 0..cfg.threads {
-        let my_groups: Vec<(usize, u32, usize, u32)> = groups
-            .iter()
-            .copied()
-            .skip(w)
-            .step_by(cfg.threads)
-            .collect();
-        let addrs = addrs.clone();
-        let telemetry_sent = telemetry_sent.clone();
-        let grants_seen = grants_seen.clone();
-        let connect_ok = connect_ok.clone();
-        let rounds = cfg.rounds;
-        let mut jitter = mix(cfg.seed, 0x7778_0000 ^ w as u64);
-        workers.push(std::thread::spawn(move || {
-            // (wire, first local node, group size) per owned connection.
-            let mut wires: Vec<(TcpWire, u32, u32)> = Vec::new();
-            for &(shard, local_start, _global, count) in &my_groups {
-                let Ok(stream) =
-                    std::net::TcpStream::connect_timeout(&addrs[shard], Duration::from_secs(2))
-                else {
-                    connect_ok.store(false, Ordering::SeqCst);
-                    continue;
-                };
-                let Ok(mut wire) = TcpWire::new(stream) else {
-                    connect_ok.store(false, Ordering::SeqCst);
-                    continue;
-                };
-                let hello = Msg::Batch(
-                    (local_start..local_start + count)
-                        .map(|node| Msg::Hello { node })
-                        .collect(),
-                );
-                if wire.send(&hello).is_err() {
-                    connect_ok.store(false, Ordering::SeqCst);
-                    continue;
-                }
-                wires.push((wire, local_start, count));
-            }
-            for seq in 1..=rounds {
-                for (wire, local_start, count) in wires.iter_mut() {
-                    let batch = Msg::Batch(
-                        (0..*count)
-                            .map(|j| Msg::Telemetry {
-                                node: *local_start + j,
-                                seq,
-                                report: synth_telemetry(7, *local_start + j, seq),
-                            })
-                            .collect(),
-                    );
-                    if wire.send(&batch).is_ok() {
-                        telemetry_sent.fetch_add(*count as u64, Ordering::Relaxed);
-                    }
-                    while let Ok(Some(msg)) = wire.poll() {
-                        grants_seen.fetch_add(count_grants(&msg), Ordering::Relaxed);
-                    }
-                }
-                // Seeded jitter: workers drift apart instead of hammering
-                // the daemons in lockstep.
-                jitter = mix(jitter, seq);
-                std::thread::sleep(Duration::from_micros(100 + jitter % 400));
-            }
-            // Drain the tail so late grants still count.
-            let deadline = Instant::now() + Duration::from_millis(50);
-            while Instant::now() < deadline {
-                for (wire, _, _) in wires.iter_mut() {
-                    while let Ok(Some(msg)) = wire.poll() {
-                        grants_seen.fetch_add(count_grants(&msg), Ordering::Relaxed);
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }));
-    }
-    for wkr in workers {
-        wkr.join().ok();
-    }
-    let elapsed = started.elapsed();
-
-    let final_sum = daemon.sum_grants();
-    let max_sum = daemon.max_sum_grants_w().max(final_sum);
-    let invariant_ok = daemon.invariant_ok()
-        && final_sum <= machine.budget_w + 1e-6
-        && connect_ok.load(Ordering::SeqCst);
-    let sent = telemetry_sent.load(Ordering::Relaxed);
-    let report = ConcurrentReport {
-        telemetry_sent: sent,
-        grants_seen: grants_seen.load(Ordering::Relaxed),
-        elapsed,
-        msgs_per_sec: sent as f64 / elapsed.as_secs_f64().max(1e-9),
-        invariant_ok,
-        max_sum_grants_w: max_sum,
-        budget_w: machine.budget_w,
-    };
-    daemon.kill();
-    report
-}
-
-fn count_grants(msg: &Msg) -> u64 {
-    match msg {
-        Msg::Grant { .. } => 1,
-        Msg::Batch(ms) => ms.iter().filter(|m| matches!(m, Msg::Grant { .. })).count() as u64,
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1250,21 +1003,5 @@ mod tests {
         let b = run_loadgen(&cfg);
         assert_eq!(a.sum_fingerprint, b.sum_fingerprint);
         assert_eq!(a.grant_log, b.grant_log);
-    }
-
-    #[test]
-    fn concurrent_tcp_loadgen_smoke() {
-        let r = run_concurrent_loadgen(&ConcurrentConfig {
-            shards: 2,
-            producers: 32,
-            batch: 8,
-            threads: 2,
-            rounds: 10,
-            ..ConcurrentConfig::default()
-        });
-        assert!(r.invariant_ok, "Σ ≤ budget over live sockets: {r:?}");
-        assert_eq!(r.telemetry_sent, 32 * 10);
-        assert!(r.grants_seen > 0, "grants must flow back: {r:?}");
-        assert!(r.msgs_per_sec > 0.0);
     }
 }

@@ -723,13 +723,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Live sockets from both kinds of producer at once: one
+    /// [`GrantClient`](crate::client::GrantClient) per node for shard-local
+    /// ids 0 and 1, and one thread per shard multiplexing ids 2 and 3 in
+    /// [`Msg::Batch`] frames, all while the coordinator re-splits the
+    /// budget. Every node must be granted and Σ ≤ budget must hold.
     #[test]
     fn sharded_daemons_grant_over_sockets_and_hold_the_invariant() {
         use crate::client::GrantClient;
         use crate::wire::{TcpWire, Wire};
         use std::net::TcpStream;
 
-        let n = 4;
+        let n = 8;
         let cfg = machine_cfg(n);
         let daemon = ShardedDaemon::spawn(
             &cfg,
@@ -752,8 +757,58 @@ mod tests {
                     .map(|w| Box::new(w) as Box<dyn Wire>)
             })
         };
-        // Two producers per shard, shard-local ids 0 and 1.
-        let mut clients: Vec<GrantClient> = (0..n)
+        // Batch producers: one thread per shard owning shard-local ids
+        // 2 and 3 over a single connection. Each returns the ids it was
+        // granted before the deadline.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let batchers: Vec<_> = daemon
+            .addrs()
+            .iter()
+            .map(|&addr| {
+                std::thread::spawn(move || {
+                    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))
+                        .expect("batch producer connects");
+                    let mut wire = TcpWire::new(stream).unwrap();
+                    let ids = 2u32..4;
+                    wire.send(&Msg::Batch(
+                        ids.clone().map(|node| Msg::Hello { node }).collect(),
+                    ))
+                    .unwrap();
+                    let mut granted = std::collections::BTreeSet::new();
+                    let mut seq = 0u64;
+                    while granted.len() < ids.len() && std::time::Instant::now() < deadline {
+                        seq += 1;
+                        let batch = ids
+                            .clone()
+                            .map(|node| Msg::Telemetry {
+                                node,
+                                seq,
+                                report: synth(node as usize, seq),
+                            })
+                            .collect();
+                        wire.send(&Msg::Batch(batch)).unwrap();
+                        while let Ok(Some(msg)) = wire.poll() {
+                            let grants = match msg {
+                                Msg::Batch(ms) => ms,
+                                single => vec![single],
+                            };
+                            for m in grants {
+                                if let Msg::Grant { node, seq: s, .. } = m {
+                                    if s > 0 {
+                                        granted.insert(node);
+                                    }
+                                }
+                            }
+                        }
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    granted
+                })
+            })
+            .collect();
+
+        // One GrantClient per node for shard-local ids 0 and 1.
+        let mut clients: Vec<GrantClient> = (0..4)
             .map(|g| {
                 let shard = g / 2;
                 GrantClient::new(
@@ -765,7 +820,6 @@ mod tests {
             })
             .collect();
 
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let mut seq = 0u64;
         loop {
             seq += 1;
@@ -785,6 +839,14 @@ mod tests {
                     .collect::<Vec<_>>()
             );
             std::thread::sleep(Duration::from_millis(2));
+        }
+        for (shard, batcher) in batchers.into_iter().enumerate() {
+            let granted = batcher.join().expect("batch producer panicked");
+            assert_eq!(
+                granted.into_iter().collect::<Vec<_>>(),
+                vec![2, 3],
+                "shard {shard}: batched telemetry must be answered with grants"
+            );
         }
         let sum = daemon.sum_grants();
         assert!(sum <= cfg.budget_w + 1e-6, "Σ {sum} over {}", cfg.budget_w);

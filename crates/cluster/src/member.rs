@@ -143,8 +143,10 @@ impl ClusterNode {
         self.node.total_energy()
     }
 
-    /// Compute time of the most recent iteration, s.
-    pub fn last_compute_s(&self) -> f64 {
+    /// Compute time of the most recent iteration, s (read by the
+    /// test-only reference driver).
+    #[cfg(test)]
+    pub(crate) fn last_compute_s(&self) -> f64 {
         self.last_compute_s
     }
 

@@ -16,22 +16,19 @@
 //! not a bug); a *violation* of the invariant by arbiters already
 //! admitted is a panic, because it can only be an implementation bug.
 
-use std::collections::BTreeMap;
-
-use crate::arbiter::{BudgetArbiter, NodeTelemetry};
+use crate::arbiter::{BudgetArbiter, NodeTelemetry, EPS_W};
 use crate::error::{ConfigError, TelemetryError};
-
-/// Tolerance for the envelope conservation checks, W.
-const EPS_W: f64 = 1e-6;
 
 /// A machine power envelope partitioned across per-job arbiters.
 ///
 /// Jobs are keyed by an opaque `u32` id (the scheduler's job id). The
-/// map is a `BTreeMap` so every iteration over jobs — sums, invariant
-/// checks — is in deterministic id order regardless of admission order.
+/// jobs are kept sorted by id so every iteration over them — sums,
+/// invariant checks — is in deterministic id order regardless of
+/// admission order. A flat slice (not a `BTreeMap`) keeps the per-tick
+/// sums free of out-of-line iterator calls.
 pub struct MachinePartition {
     envelope_w: f64,
-    jobs: BTreeMap<u32, Box<dyn BudgetArbiter>>,
+    jobs: Vec<(u32, Box<dyn BudgetArbiter>)>,
 }
 
 impl MachinePartition {
@@ -48,7 +45,7 @@ impl MachinePartition {
         }
         Ok(Self {
             envelope_w,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
         })
     }
 
@@ -60,7 +57,7 @@ impl MachinePartition {
     /// Watts committed to running jobs: Σ over jobs of the arbiter's
     /// budget.
     pub fn committed_w(&self) -> f64 {
-        self.jobs.values().map(|a| a.budget()).sum()
+        self.jobs.iter().map(|(_, a)| a.budget()).sum()
     }
 
     /// Watts actually granted to leaves right now: Σ over jobs of
@@ -68,8 +65,8 @@ impl MachinePartition {
     /// envelope.
     pub fn granted_w(&self) -> f64 {
         self.jobs
-            .values()
-            .map(|a| a.grants().iter().sum::<f64>())
+            .iter()
+            .map(|(_, a)| a.grants().iter().sum::<f64>())
             .sum()
     }
 
@@ -85,12 +82,12 @@ impl MachinePartition {
 
     /// Running job ids, ascending.
     pub fn job_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.jobs.keys().copied()
+        self.jobs.iter().map(|&(id, _)| id)
     }
 
     /// The arbiter serving `job`, if it is running.
     pub fn arbiter(&self, job: u32) -> Option<&dyn BudgetArbiter> {
-        self.jobs.get(&job).map(|b| b.as_ref())
+        self.slot(job).ok().map(|i| self.jobs[i].1.as_ref())
     }
 
     /// Admit a job: hand its intra-job arbiter to the partition. Fails —
@@ -100,12 +97,12 @@ impl MachinePartition {
     /// established, so a refusal here surfaces a predictor/controller
     /// disagreement instead of silently over-subscribing the breaker.
     pub fn admit(&mut self, job: u32, arbiter: Box<dyn BudgetArbiter>) -> Result<(), ConfigError> {
-        if self.jobs.contains_key(&job) {
+        let Err(at) = self.slot(job) else {
             return Err(ConfigError::new(
                 "MachinePartition.admit",
                 format!("job {job} is already running"),
             ));
-        }
+        };
         let budget = arbiter.budget();
         let committed = self.committed_w();
         if committed + budget > self.envelope_w + EPS_W {
@@ -118,7 +115,7 @@ impl MachinePartition {
                 ),
             ));
         }
-        self.jobs.insert(job, arbiter);
+        self.jobs.insert(at, (job, arbiter));
         self.assert_envelope();
         Ok(())
     }
@@ -126,7 +123,7 @@ impl MachinePartition {
     /// Release a finished job, returning its arbiter (for trace
     /// inspection); `None` if the id is not running.
     pub fn release(&mut self, job: u32) -> Option<Box<dyn BudgetArbiter>> {
-        let out = self.jobs.remove(&job);
+        let out = self.slot(job).ok().map(|i| self.jobs.remove(i).1);
         self.assert_envelope();
         out
     }
@@ -143,15 +140,21 @@ impl MachinePartition {
         job: u32,
         reports: &[Option<NodeTelemetry>],
     ) -> Result<&[f64], TelemetryError> {
-        let Some(arb) = self.jobs.get_mut(&job) else {
+        let Ok(i) = self.slot(job) else {
             return Err(TelemetryError::Arity {
                 expected: 0,
                 got: reports.len(),
             });
         };
-        arb.redistribute(reports)?;
+        self.jobs[i].1.redistribute(reports)?;
         self.assert_envelope();
-        Ok(self.jobs.get(&job).expect("present above").grants())
+        Ok(self.jobs[i].1.grants())
+    }
+
+    /// Where `job` sits in the id-sorted job list (`Err` = where it
+    /// would be inserted).
+    fn slot(&self, job: u32) -> Result<usize, usize> {
+        self.jobs.binary_search_by_key(&job, |&(id, _)| id)
     }
 
     /// Smallest envelope slack over committed budgets, W (equals
@@ -190,7 +193,7 @@ impl std::fmt::Debug for MachinePartition {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MachinePartition")
             .field("envelope_w", &self.envelope_w)
-            .field("jobs", &self.jobs.keys().collect::<Vec<_>>())
+            .field("jobs", &self.job_ids().collect::<Vec<_>>())
             .field("committed_w", &self.committed_w())
             .finish()
     }

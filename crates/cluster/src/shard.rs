@@ -19,7 +19,8 @@
 //! Sharding is therefore a scheduling choice only: results are gathered
 //! in rank order and outcomes are bitwise identical for any shard count.
 //! The differential suite in [`crate::sim`] pins the sharded driver to
-//! the bulk-synchronous reference ([`crate::sim::run_cluster_reference`]).
+//! the pre-sharding bulk-synchronous loop, which survives only as a
+//! test-only oracle in that module's tests.
 
 use std::ops::Range;
 

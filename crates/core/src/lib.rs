@@ -23,7 +23,6 @@
 //! a `Default` configuration matching the paper's scale.
 
 pub mod experiments;
-pub mod jobsim;
 pub mod report;
 pub mod runner;
 pub mod sweep;

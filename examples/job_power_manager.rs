@@ -3,81 +3,96 @@
 //! "according to application characteristics and node variability" — and
 //! progress monitoring is what makes an informed division possible.
 //!
-//! Three simulated nodes run LAMMPS; one has a leakier chip
-//! (manufacturing variability: +18% switched capacitance, so it needs
-//! more watts for the same frequency). Under a tight job budget, an
-//! application-agnostic equal split leaves the leaky node lagging — and
-//! for a bulk-synchronous job the whole job runs at the slowest node's
-//! pace. The progress-aware policy watches normalized progress and moves
-//! watts to the laggard.
+//! Three simulated nodes carry equal shares of a bulk-synchronous job;
+//! one has a leakier chip (manufacturing variability: +18% switched
+//! capacitance, so it needs more watts for the same frequency). Under a
+//! tight 270 W job budget, the application-agnostic uniform split leaves
+//! the leaky node lagging — and because every iteration ends at a
+//! barrier, the whole job runs at the slowest node's pace. The
+//! progress-feedback arbiter reads each node's compute time at every
+//! barrier and moves watts to the laggard.
 //!
 //! ```text
 //! cargo run --release --example job_power_manager
 //! ```
+//!
+//! Exits non-zero unless progress feedback finishes strictly sooner than
+//! the uniform split.
 
-use nrm::job::{settled_job_progress, JobPolicy, JobPowerManager, ManagedNode};
-use powerprog::core::jobsim::SimNode;
-use powerprog::prelude::*;
+use cluster::{
+    run_cluster, ArbiterConfig, ClusterConfig, ClusterOutcome, CommConfig, NodeSpec, Policy,
+    Preset, WorkloadShape, DEFAULT_DAEMON_PERIOD,
+};
 
-fn build_fleet() -> Vec<SimNode> {
-    let normal = NodeConfig::default();
-    let mut leaky = normal.clone();
-    leaky.core_power.c_dyn *= 1.18;
+const BUDGET_W: f64 = 270.0;
+const ITERS: usize = 10;
 
-    println!("measuring per-node uncapped baselines...");
-    let base_normal = SimNode::measure_baseline(&normal, AppId::Lammps, 1, 5 * SEC);
-    let base_leaky = SimNode::measure_baseline(&leaky, AppId::Lammps, 1, 5 * SEC);
-    println!("  normal chip: {base_normal:.0} katom-steps/s");
-    println!("  leaky chip : {base_leaky:.0} katom-steps/s (same speed uncapped, more watts)\n");
-
-    vec![
-        SimNode::new(normal.clone(), AppId::Lammps, 11, base_normal).with_epoch(2 * SEC),
-        SimNode::new(normal, AppId::Lammps, 12, base_normal).with_epoch(2 * SEC),
-        SimNode::new(leaky, AppId::Lammps, 13, base_leaky).with_epoch(2 * SEC),
-    ]
-}
-
-fn run(policy: JobPolicy, label: &str) -> f64 {
-    let mut nodes = build_fleet();
-    let mut refs: Vec<&mut dyn ManagedNode> = nodes
-        .iter_mut()
-        .map(|n| n as &mut dyn ManagedNode)
-        .collect();
-    // Three nodes wanting ~450 W get 270 W.
-    let mgr = JobPowerManager::new(270.0, policy);
-    let trace = mgr.run(&mut refs, 10);
+fn run(policy: Policy, label: &str) -> ClusterOutcome {
+    let cfg = ClusterConfig {
+        nodes: vec![
+            NodeSpec::new(Preset::Reference, 1.0),
+            NodeSpec::new(Preset::Reference, 1.0),
+            NodeSpec::new(Preset::Leaky(18.0), 1.0),
+        ],
+        iters: ITERS,
+        arbiter: ArbiterConfig {
+            budget_w: BUDGET_W,
+            min_cap_w: 40.0,
+            max_cap_w: 130.0,
+            policy,
+        },
+        shape: WorkloadShape::default(),
+        comm: CommConfig::none(),
+        daemon_period: DEFAULT_DAEMON_PERIOD,
+        hierarchy: None,
+    };
+    let out = run_cluster(&cfg).expect("the example configuration is valid");
 
     println!("--- {label} ---");
     println!(
-        "{:>5} {:>22} {:>26} {:>8}",
-        "epoch", "caps (W)", "normalized progress", "job"
+        "{:>5} {:>22} {:>22} {:>12}",
+        "iter", "compute (ms)", "next caps (W)", "barrier (s)"
     );
-    for (i, e) in trace.iter().enumerate() {
-        let caps: Vec<String> = e.caps_w.iter().map(|c| format!("{c:.0}")).collect();
-        let norm: Vec<String> = e.normalized.iter().map(|p| format!("{p:.2}")).collect();
+    for (it, tick) in out.iterations.iter().zip(out.grant_trace.ticks()) {
+        let compute: Vec<String> = it
+            .compute_s
+            .iter()
+            .map(|s| format!("{:.0}", s * 1e3))
+            .collect();
+        let caps: Vec<String> = tick.granted_w.iter().map(|w| format!("{w:.0}")).collect();
         println!(
-            "{:>5} {:>22} {:>26} {:>8.2}",
-            i,
+            "{:>5} {:>22} {:>22} {:>12.3}",
+            it.round,
+            compute.join("/"),
             caps.join("/"),
-            norm.join("/"),
-            e.job_progress
+            it.barrier_at_s
         );
     }
-    let settled = settled_job_progress(&trace);
-    println!("settled job progress: {settled:.3}\n");
-    settled
+    println!(
+        "makespan {:.3} s, energy {:.0} J\n",
+        out.makespan_s, out.energy_j
+    );
+    out
 }
 
 fn main() {
-    println!("Job budget: 270 W over 3 nodes (one leaky chip), LAMMPS everywhere.\n");
-    let equal = run(JobPolicy::EqualSplit, "equal split (application-agnostic)");
-    let aware = run(
-        JobPolicy::ProgressAware { gain: 1.5 },
-        "progress-aware (moves watts to the laggard)",
+    println!("Job budget: {BUDGET_W:.0} W over 3 equal-weight nodes (node 2 has a leaky chip).\n");
+    let uniform = run(
+        Policy::UniformStatic,
+        "uniform static (application-agnostic)",
     );
-    println!(
-        "progress-aware improves bulk-synchronous job progress by {:.1}%",
-        100.0 * (aware / equal - 1.0)
+    let feedback = run(
+        Policy::ProgressFeedback { gain: 1.0 },
+        "progress feedback (moves watts to the laggard)",
     );
+    let gain = 100.0 * (1.0 - feedback.makespan_s / uniform.makespan_s);
+    println!("progress feedback shortens the bulk-synchronous job by {gain:.1}%");
     println!("— exactly why the paper wants progress to be monitorable online.");
+    if feedback.makespan_s >= uniform.makespan_s {
+        eprintln!(
+            "job_power_manager: feedback ({:.3} s) did not beat uniform static ({:.3} s)",
+            feedback.makespan_s, uniform.makespan_s
+        );
+        std::process::exit(1);
+    }
 }

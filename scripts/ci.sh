@@ -123,6 +123,11 @@ if [[ "$run_tests" -eq 1 ]]; then
         exit 1
     }
     rm -rf "$golden_out"
+    echo "== job_power_manager example (feedback must beat uniform-static)"
+    # The example exits non-zero when progress feedback fails to shorten
+    # the leaky-node job, so running it checks its story, not just that
+    # it compiles.
+    cargo run -q --release --example job_power_manager >/dev/null
 fi
 
 if [[ "$soak" -eq 1 ]]; then

@@ -52,7 +52,6 @@ pub mod prelude {
     pub use nrm::actuator::ActuatorKind;
     pub use nrm::composition::CompositeProgress;
     pub use nrm::daemon::NrmDaemon;
-    pub use nrm::job::{JobPolicy, JobPowerManager, ManagedNode};
     pub use nrm::resilience::{MsrPowerSensor, ResilienceConfig, ResilientDaemon};
     pub use nrm::scheme::{
         CapSchedule, ConstantCap, JaggedEdge, LinearDecay, StepFunction, Uncapped,

@@ -111,6 +111,53 @@ fn hierarchical_feedback_beats_uniform_static_with_two_level_conservation() {
     }
 }
 
+/// Node variability alone: three ranks with equal work, one of them on a
+/// leaky chip that needs more watts for the same frequency. Under the
+/// uniform split the leaky rank sets every barrier; progress feedback
+/// must move watts to it and finish the job strictly sooner.
+#[test]
+fn feedback_rescues_a_leaky_node_among_equal_weights() {
+    let run = |policy| {
+        run_cluster(&ClusterConfig {
+            nodes: vec![
+                NodeSpec::new(Preset::Reference, 1.0),
+                NodeSpec::new(Preset::Reference, 1.0),
+                NodeSpec::new(Preset::Leaky(18.0), 1.0),
+            ],
+            iters: 6,
+            arbiter: ArbiterConfig {
+                budget_w: 270.0,
+                min_cap_w: 40.0,
+                max_cap_w: 130.0,
+                policy,
+            },
+            shape: WorkloadShape::default(),
+            daemon_period: DEFAULT_DAEMON_PERIOD,
+            comm: CommConfig::none(),
+            hierarchy: None,
+        })
+        .unwrap()
+    };
+    let uniform = run(Policy::UniformStatic);
+    let feedback = run(Policy::ProgressFeedback { gain: 1.0 });
+
+    for it in &uniform.iterations {
+        assert_eq!(it.imbalance.critical_rank, 2, "the leaky rank lags");
+    }
+    assert!(
+        feedback.makespan_s < uniform.makespan_s,
+        "feedback must beat the uniform split: {:.3} s vs {:.3} s",
+        feedback.makespan_s,
+        uniform.makespan_s
+    );
+    let g = &feedback.final_grants_w;
+    assert!(
+        g[2] > g[0] && g[2] > g[1],
+        "watts move to the leaky node: {g:?}"
+    );
+    assert!(feedback.min_budget_slack_w() >= -1e-6);
+}
+
 /// A node whose telemetry drops out keeps its last-granted cap verbatim
 /// and is excluded from redistribution until it reports again.
 #[test]
