@@ -123,6 +123,20 @@ if [[ "$run_tests" -eq 1 ]]; then
         exit 1
     }
     rm -rf "$golden_out"
+    echo "== repro paper-experiment golden diff (node engine bit-identity)"
+    # tests/golden/paper_quick holds the CSVs of every single-node paper
+    # experiment (tables, figures, CANDLE, ablations, faults, backends)
+    # at --quick scale. They exercise the node stepping engine, the RAPL
+    # controller and the MSR backends end to end, so any drift in a node
+    # optimisation shows up here as a changed figure.
+    paper_out="$(mktemp -d)"
+    target/release/repro table1 tables2to5 table6 fig1 fig2 fig3 fig4 fig5 \
+        candle ablations faults backends --quick --out "$paper_out" >/dev/null
+    diff -r tests/golden/paper_quick "$paper_out" || {
+        echo "ci.sh: repro paper experiments (--quick) drifted from the golden CSVs" >&2
+        exit 1
+    }
+    rm -rf "$paper_out"
     echo "== job_power_manager example (feedback must beat uniform-static)"
     # The example exits non-zero when progress feedback fails to shorten
     # the leaky-node job, so running it checks its story, not just that
