@@ -12,8 +12,12 @@ use cluster::{
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use simnode::config::NodeConfig;
+use simnode::hw::{
+    EmulatedBackend, MsrBackend, SimBackend, IA32_APERF, IA32_CLOCK_MODULATION, IA32_MPERF,
+    IA32_PERF_CTL, MSR_PKG_ENERGY_STATUS, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
+};
 use simnode::node::{CoreWork, Node, WorkPacket};
-use simnode::time::SEC;
+use simnode::time::{MS, SEC, US};
 use std::hint::black_box;
 
 /// A small imbalanced cluster, sized so one run is bench-friendly.
@@ -372,28 +376,87 @@ fn bench_cluster(c: &mut Criterion) {
     g.finish();
 }
 
-/// The event-horizon fast path in isolation: 3 s of capped compute on a
-/// full 24-core node, advanced with `step_until` (macro-stepping between
-/// RAPL periods). The `micro` bench's `node/step_1s` covers the exact
-/// single-quantum path; the ratio between the two is the headline win of
-/// the macro-quantum stepping.
+/// 3 s of capped compute on a full 24-core node, `packet(core)` on each
+/// core, advanced with `step_until`. Every packet holds at least ~4 s of
+/// work at fmax, so none completes and the node macro-steps whole RAPL
+/// periods end to end.
+fn step_until_3s(packet: impl Fn(usize) -> WorkPacket) -> u64 {
+    let mut node = Node::new(NodeConfig::default());
+    node.set_package_cap(Some(80.0)).expect("cap writable");
+    for core in 0..node.cores() {
+        node.assign(core, CoreWork::Compute(packet(core).into()));
+    }
+    while node.now() < 3 * SEC {
+        node.step_until(3 * SEC);
+    }
+    node.now()
+}
+
+/// One RAPL period's register traffic on a simulated node, as
+/// `Node::step_until` and an NRM daemon drive it: the energy counter,
+/// APERF/MPERF and the clock advance of a macro step, the unit and limit
+/// reads of the RAPL decision, the user DVFS/DDCM requests, and the
+/// daemon's user-space energy read.
+fn one_period(msr: &mut dyn MsrBackend, now: u64) -> u64 {
+    let e = msr.hw_read(MSR_PKG_ENERGY_STATUS);
+    msr.hw_write(MSR_PKG_ENERGY_STATUS, (e + 1_000) & 0xFFFF_FFFF);
+    msr.advance_to(now);
+    let ap = msr.hw_read(IA32_APERF);
+    msr.hw_write(IA32_APERF, ap + 2_000_000);
+    let mp = msr.hw_read(IA32_MPERF);
+    msr.hw_write(IA32_MPERF, mp + 3_300_000);
+    let units = msr.hw_read(MSR_RAPL_POWER_UNIT);
+    let limit = msr.hw_read(MSR_PKG_POWER_LIMIT);
+    let perf = msr.hw_read(IA32_PERF_CTL);
+    let duty = msr.hw_read(IA32_CLOCK_MODULATION);
+    let seen = msr.read(MSR_PKG_ENERGY_STATUS).expect("energy readable");
+    units ^ limit ^ perf ^ duty ^ seen
+}
+
+/// The node engine in isolation.
+///
+/// - `step_until_3s`: every core runs the same packet, the shape of the
+///   rank-symmetric proxy apps, so the macro step evaluates it once per
+///   period. The `micro` bench's `node/step_1s` covers the exact
+///   single-quantum path; the ratio between the two is the headline win of
+///   the macro-quantum stepping.
+/// - `step_until_3s_mixed`: the same run with 24 distinct packets, which
+///   gets no reuse and so measures the per-core cost of a macro step.
+/// - `msr_hw_rw_{sim,emulated}`: 10k periods of register traffic through a
+///   `Box<dyn MsrBackend>` for each simulated tier (the emulated one with
+///   its default 2 ms latch and 1 µs bus cost).
 fn bench_simnode(c: &mut Criterion) {
     let mut g = c.benchmark_group("simnode");
     g.sample_size(10);
     g.bench_function("step_until_3s", |b| {
         b.iter(|| {
-            let mut node = Node::new(NodeConfig::default());
-            node.set_package_cap(Some(80.0)).expect("cap writable");
-            for core in 0..node.cores() {
-                // ~4 s of work at fmax: never completes inside the run, so
-                // the node macro-steps whole RAPL periods end to end.
-                let packet = WorkPacket::new(3.3e9 * 4.0, 2.0e6, 8.0e9);
-                node.assign(core, CoreWork::Compute(packet.into()));
-            }
-            while node.now() < 3 * SEC {
-                node.step_until(3 * SEC);
-            }
-            black_box(node.now())
+            black_box(step_until_3s(|_| {
+                WorkPacket::new(3.3e9 * 4.0, 2.0e6, 8.0e9)
+            }))
+        })
+    });
+    g.bench_function("step_until_3s_mixed", |b| {
+        b.iter(|| {
+            black_box(step_until_3s(|core| {
+                let skew = 1.0 + 0.01 * core as f64;
+                WorkPacket::new(3.3e9 * 4.0 * skew, 2.0e6 * skew, 8.0e9)
+            }))
+        })
+    });
+    let periods = |mut msr: Box<dyn MsrBackend>| {
+        let mut acc = 0;
+        for p in 1..=10_000 {
+            acc ^= one_period(msr.as_mut(), p * MS);
+        }
+        acc
+    };
+    g.bench_function("msr_hw_rw_sim", |b| {
+        b.iter(|| black_box(periods(Box::new(SimBackend::new()))))
+    });
+    g.bench_function("msr_hw_rw_emulated", |b| {
+        b.iter(|| {
+            let emulated = EmulatedBackend::new(SimBackend::new(), 2 * MS, US);
+            black_box(periods(Box::new(emulated)))
         })
     });
     g.finish();

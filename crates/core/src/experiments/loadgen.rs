@@ -17,6 +17,8 @@
 //! hold-last-grant violations — the table's `invariant` column is a
 //! hard pass/fail, not a statistic.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use arbiterd::loadgen::{run_loadgen, FaultKnobs, LoadgenConfig, LoadgenReport};
 use arbiterd::ServiceConfig;
 use cluster::ConfigError;
@@ -114,6 +116,11 @@ fn hostile_faults(cfg: &Config) -> FaultKnobs {
 pub fn run(cfg: &Config) -> Result<Loadgen, ConfigError> {
     cfg.validate()?;
     let mut cells = Vec::new();
+    // Concurrent runs in one process (parallel tests) share the pid and
+    // the seed; the run id keeps one run from restoring, or deleting,
+    // another run's crash snapshot. A plain counter: it orders no data.
+    static RUN_ID: AtomicU64 = AtomicU64::new(0);
+    let run_id = RUN_ID.fetch_add(1, Ordering::Relaxed);
 
     cells.push(Cell {
         scenario: "clean",
@@ -153,7 +160,7 @@ pub fn run(cfg: &Config) -> Result<Loadgen, ConfigError> {
     });
 
     let snap = std::env::temp_dir().join(format!(
-        "arbiterd-loadgen-{}-{}.snap",
+        "arbiterd-loadgen-{}-{run_id}-{}.snap",
         std::process::id(),
         cfg.seed
     ));
@@ -175,7 +182,7 @@ pub fn run(cfg: &Config) -> Result<Loadgen, ConfigError> {
     // its peers keep serving. Σ ≤ machine budget still holds machine-
     // wide at every tick.
     let shard_snap = std::env::temp_dir().join(format!(
-        "arbiterd-loadgen-sharded-{}-{}.snap",
+        "arbiterd-loadgen-sharded-{}-{run_id}-{}.snap",
         std::process::id(),
         cfg.seed
     ));

@@ -1,12 +1,17 @@
-//! The closed-form simulated register file — the seed `MsrDevice`
-//! behaviour, ported verbatim behind [`MsrBackend`].
+//! The closed-form simulated register file: the seed `MsrDevice`
+//! behaviour behind [`MsrBackend`].
 //!
 //! Every access path here is bit-identical to the pre-trait device: the
 //! conformance suite pins it against a frozen copy of the old
 //! implementation, and `scripts/ci.sh` diffs seeded `repro cluster
 //! --quick` CSVs against golden pre-refactor output.
+//!
+//! The registers live in a flat table, not a hash map. A node touches
+//! about a dozen of them every RAPL period (energy, APERF/MPERF, the
+//! unit and limit registers, the user DVFS/DDCM requests), and a short
+//! linear scan over the seven default addresses, hottest first, beats
+//! hashing each address.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::backend::{default_permission, Capabilities, MsrBackend};
@@ -17,12 +22,23 @@ use crate::msr::{
 };
 use crate::time::Nanos;
 
+/// One register of the file.
+#[derive(Debug, Clone, Copy)]
+struct Reg {
+    addr: u32,
+    /// Allow-list entry; `None` for a register only the silicon side
+    /// (`hw_*`) can reach.
+    perm: Option<Permission>,
+    value: u64,
+}
+
 /// The simulated MSR register file (allow-list + registers + optional
 /// fault layer).
 #[derive(Debug, Clone)]
 pub struct SimBackend {
-    regs: HashMap<u32, u64>,
-    allowlist: HashMap<u32, Permission>,
+    /// The default registers in scan order (the ones the node's step
+    /// touches first), then any the builder added.
+    regs: Vec<Reg>,
     /// Simulated time of the device, advanced by `advance_to`; only
     /// consulted by the fault layer.
     now: Nanos,
@@ -35,26 +51,47 @@ impl SimBackend {
     /// A register file with the default RAPL/DVFS allow-list and
     /// power-on values.
     pub fn new() -> Self {
-        let mut allowlist = HashMap::new();
-        let mut regs = HashMap::new();
-        for addr in [
+        let regs = [
+            MSR_PKG_ENERGY_STATUS,
+            IA32_APERF,
+            IA32_MPERF,
             MSR_RAPL_POWER_UNIT,
             MSR_PKG_POWER_LIMIT,
-            MSR_PKG_ENERGY_STATUS,
             IA32_PERF_CTL,
             IA32_CLOCK_MODULATION,
-            IA32_MPERF,
-            IA32_APERF,
-        ] {
-            allowlist.insert(addr, default_permission(addr).expect("default set"));
-            regs.insert(addr, 0);
-        }
-        regs.insert(MSR_RAPL_POWER_UNIT, RaplUnits::SKYLAKE_RAW);
+        ]
+        .map(|addr| Reg {
+            addr,
+            perm: Some(default_permission(addr).expect("default set")),
+            value: if addr == MSR_RAPL_POWER_UNIT {
+                RaplUnits::SKYLAKE_RAW
+            } else {
+                0
+            },
+        });
         Self {
-            regs,
-            allowlist,
+            regs: regs.to_vec(),
             now: 0,
             faults: None,
+        }
+    }
+
+    fn reg(&self, addr: u32) -> Option<&Reg> {
+        self.regs.iter().find(|r| r.addr == addr)
+    }
+
+    /// The register at `addr`, added (no permission, value 0) if absent.
+    fn reg_mut(&mut self, addr: u32) -> &mut Reg {
+        match self.regs.iter().position(|r| r.addr == addr) {
+            Some(i) => &mut self.regs[i],
+            None => {
+                self.regs.push(Reg {
+                    addr,
+                    perm: None,
+                    value: 0,
+                });
+                self.regs.last_mut().expect("just pushed")
+            }
         }
     }
 
@@ -68,11 +105,10 @@ impl SimBackend {
     ) -> Self {
         let mut s = Self::new();
         for &(addr, perm) in allow {
-            s.allowlist.insert(addr, perm);
-            s.regs.entry(addr).or_insert(0);
+            s.reg_mut(addr).perm = Some(perm);
         }
         for &(addr, value) in regs {
-            s.regs.insert(addr, value);
+            s.reg_mut(addr).value = value;
         }
         s.faults = faults.map(FaultLayer::new);
         s
@@ -84,7 +120,7 @@ impl SimBackend {
     /// [`MsrBackend::advance_to`]). Shared with [`super::EmulatedBackend`],
     /// whose bus engine stores through its own latch queue.
     pub(crate) fn user_write_gate(&mut self, addr: u32, value: u64) -> Result<bool, MsrError> {
-        match self.allowlist.get(&addr) {
+        match self.reg(addr).and_then(|r| r.perm) {
             None => Err(MsrError::Unknown(addr)),
             Some(p) if !p.write => Err(MsrError::NotAllowed(addr)),
             Some(_) => {
@@ -112,7 +148,8 @@ impl Default for SimBackend {
 
 impl MsrBackend for SimBackend {
     fn read(&self, addr: u32) -> Result<u64, MsrError> {
-        match self.allowlist.get(&addr) {
+        let reg = self.reg(addr);
+        match reg.and_then(|r| r.perm) {
             None => Err(MsrError::Unknown(addr)),
             Some(p) if !p.read => Err(MsrError::NotAllowed(addr)),
             Some(_) => {
@@ -126,29 +163,30 @@ impl MsrBackend for SimBackend {
                         }
                     }
                 }
-                Ok(*self.regs.get(&addr).unwrap_or(&0))
+                Ok(reg.map_or(0, |r| r.value))
             }
         }
     }
 
     fn write(&mut self, addr: u32, value: u64) -> Result<(), MsrError> {
         if self.user_write_gate(addr, value)? {
-            self.regs.insert(addr, value);
+            self.reg_mut(addr).value = value;
         }
         Ok(())
     }
 
     fn advance_to(&mut self, now: Nanos) {
         self.now = now;
-        if let Some(fl) = &mut self.faults {
-            let energy = *self.regs.get(&MSR_PKG_ENERGY_STATUS).unwrap_or(&0);
-            let (jump_to, latched) = fl.advance_to(now, energy);
-            if let Some(v) = jump_to {
-                self.regs.insert(MSR_PKG_ENERGY_STATUS, v & 0xFFFF_FFFF);
-            }
-            if let Some(raw) = latched {
-                self.regs.insert(MSR_PKG_POWER_LIMIT, raw);
-            }
+        let energy = self.hw_read(MSR_PKG_ENERGY_STATUS);
+        let Some((jump_to, latched)) = self.faults.as_mut().map(|fl| fl.advance_to(now, energy))
+        else {
+            return;
+        };
+        if let Some(v) = jump_to {
+            self.hw_write(MSR_PKG_ENERGY_STATUS, v & 0xFFFF_FFFF);
+        }
+        if let Some(raw) = latched {
+            self.hw_write(MSR_PKG_POWER_LIMIT, raw);
         }
     }
 
@@ -163,11 +201,11 @@ impl MsrBackend for SimBackend {
     }
 
     fn hw_read(&self, addr: u32) -> u64 {
-        *self.regs.get(&addr).unwrap_or(&0)
+        self.reg(addr).map_or(0, |r| r.value)
     }
 
     fn hw_write(&mut self, addr: u32, value: u64) {
-        self.regs.insert(addr, value);
+        self.reg_mut(addr).value = value;
     }
 
     fn fault_stats(&self) -> Option<&FaultStats> {

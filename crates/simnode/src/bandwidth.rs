@@ -98,8 +98,15 @@ impl UncoreConfig {
     /// frequency — unloaded latency is DRAM-dominated); `mlp` scales the
     /// final rate for dependent-miss workloads.
     pub fn service_rate(&self, level: UncoreLevel, pressure: f64, mlp: f64) -> f64 {
+        self.pipe_rate(level, pressure) * mlp
+    }
+
+    /// [`service_rate`](Self::service_rate) before the `mlp` factor. It
+    /// is the same for every core of a node within a quantum, so the
+    /// macro step computes it once per step instead of once per core.
+    pub(crate) fn pipe_rate(&self, level: UncoreLevel, pressure: f64) -> f64 {
         let share = self.total_bw(level) / pressure.max(1.0);
-        share.min(self.percore_peak_bw * self.latency_scale(level)) * mlp
+        share.min(self.percore_peak_bw * self.latency_scale(level))
     }
 
     /// Back-compat shim used by tests: fair share among `n` always-pulling

@@ -16,6 +16,13 @@
 //!   `MSR_PKG_ENERGY_STATUS`) is **bit-identical** whenever the thermal
 //!   model is off, and *everything* is bit-identical when no macro-step can
 //!   fire (RAPL period == quantum caps every horizon at one quantum).
+//!
+//! Most cases give every core its own random work. The symmetric cases
+//! hand one work item to a whole class of cores (all of them, two halves,
+//! alternate cores, all but one), the shape of the rank-symmetric proxy
+//! apps, where the macro step evaluates a run of bitwise-equal packets
+//! once. They also assert that cores of one class hold bitwise-equal
+//! state after every step.
 
 use std::sync::Arc;
 
@@ -92,6 +99,99 @@ fn random_work(rng: &mut Mix, now: Nanos) -> CoreWork {
     }
 }
 
+/// Which cores share work. Cores of one class are always handed the same
+/// work item at the same instant, so they hold bitwise-equal state for the
+/// whole run: the layouts besides `Distinct` exercise the macro step's
+/// reuse of one evaluation across a run of equal packets, and the
+/// boundaries between runs of different packets.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Every core draws its own work.
+    Distinct,
+    /// All cores share one work item.
+    AllSame,
+    /// The lower and upper halves of the cores each share one.
+    Halves,
+    /// Even and odd cores each share one (A/B/A/B...).
+    Alternating,
+    /// All cores share one item except the given core (mod core count).
+    OddOneOut(usize),
+}
+
+impl Layout {
+    fn class(self, core: usize, cores: usize) -> usize {
+        match self {
+            Layout::Distinct => core,
+            Layout::AllSame => 0,
+            Layout::Halves => usize::from(core >= cores / 2),
+            Layout::Alternating => core % 2,
+            Layout::OddOneOut(odd) => usize::from(core == odd % cores),
+        }
+    }
+
+    fn symmetric() -> impl Strategy<Value = Layout> {
+        prop_oneof![
+            Just(Layout::AllSame),
+            Just(Layout::Halves),
+            Just(Layout::Alternating),
+            (0usize..64).prop_map(Layout::OddOneOut),
+        ]
+    }
+}
+
+/// Hand fresh work to `cores` on both nodes at `now`: one [`random_work`]
+/// draw per class, in the order the classes first appear among `cores`.
+/// Under [`Layout::Distinct`] that is one draw per core, in core order.
+fn assign_fresh(
+    layout: Layout,
+    rng: &mut Mix,
+    now: Nanos,
+    nodes: [&mut Node; 2],
+    cores: impl IntoIterator<Item = usize>,
+    pick: fn(&mut Mix, Nanos) -> CoreWork,
+) {
+    let [exact, fast] = nodes;
+    let n = exact.cores();
+    let mut drawn: Vec<(usize, CoreWork)> = Vec::new();
+    for c in cores {
+        let class = layout.class(c, n);
+        let w = match drawn.iter().find(|(k, _)| *k == class) {
+            Some(&(_, w)) => w,
+            None => {
+                let w = pick(rng, now);
+                drawn.push((class, w));
+                w
+            }
+        };
+        exact.assign(c, w);
+        fast.assign(c, w);
+    }
+}
+
+/// Cores of one class must hold bitwise-equal work after every step: the
+/// reuse may never let two equal packets drift apart.
+fn assert_classes_stay_equal(node: &Node, layout: Layout) {
+    let n = node.cores();
+    for a in 0..n {
+        for b in a + 1..n {
+            if layout.class(a, n) != layout.class(b, n) {
+                continue;
+            }
+            let same = match (node.work(a), node.work(b)) {
+                (CoreWork::Compute(x), CoreWork::Compute(y)) => x.same_bits(y),
+                (x, y) => x == y,
+            };
+            assert!(
+                same,
+                "cores {a} and {b} share work but diverged at t={}: {:?} vs {:?}",
+                node.now(),
+                node.work(a),
+                node.work(b)
+            );
+        }
+    }
+}
+
 fn assert_rel_close(a: f64, b: f64, what: &str) {
     let scale = a.abs().max(b.abs()).max(1.0);
     assert!(
@@ -101,9 +201,11 @@ fn assert_rel_close(a: f64, b: f64, what: &str) {
 }
 
 /// Drive `exact` and `fast` in lockstep for `total` sim-time, re-assigning
-/// identical fresh work on every completion/wake, changing the package cap
-/// at every segment boundary from `caps`, and asserting the equivalence
-/// contract at every event and every boundary.
+/// identical fresh work (shared per `layout` class) on every
+/// completion/wake, changing the package cap at every segment boundary
+/// from `caps`, and asserting the equivalence contract at every event and
+/// every boundary. No thermal model runs here, so integer MSR state must
+/// match bit for bit.
 fn run_lockstep(
     mut exact: Node,
     mut fast: Node,
@@ -111,15 +213,18 @@ fn run_lockstep(
     total: Nanos,
     segment: Nanos,
     caps: &[Option<f64>],
-    bit_exact_msrs: bool,
+    layout: Layout,
 ) {
     let cores = exact.cores();
     let mut rng = Mix(seed);
-    for c in 0..cores {
-        let w = random_work(&mut rng, 0);
-        exact.assign(c, w);
-        fast.assign(c, w);
-    }
+    assign_fresh(
+        layout,
+        &mut rng,
+        0,
+        [&mut exact, &mut fast],
+        0..cores,
+        random_work,
+    );
     let mut cap_idx = 0usize;
     while fast.now() < total {
         if !caps.is_empty() {
@@ -137,11 +242,18 @@ fn run_lockstep(
             let of = fast.step_until(deadline).clone();
             assert_eq!(oe, of, "step outcomes diverged at t={}", exact.now());
             assert_eq!(exact.now(), fast.now(), "event times diverged");
-            for &c in oe.completed.iter().chain(oe.woke.iter()) {
-                let w = random_work(&mut rng, fast.now());
-                exact.assign(c, w);
-                fast.assign(c, w);
-            }
+            assert_classes_stay_equal(&exact, layout);
+            assert_classes_stay_equal(&fast, layout);
+            let now = fast.now();
+            let freed = oe.completed.iter().chain(oe.woke.iter()).copied();
+            assign_fresh(
+                layout,
+                &mut rng,
+                now,
+                [&mut exact, &mut fast],
+                freed,
+                random_work,
+            );
             if oe.is_empty() {
                 break;
             }
@@ -150,7 +262,7 @@ fn run_lockstep(
         // the same first quantum boundary at or past the deadline.
         assert!(exact.now() >= deadline);
         assert_eq!(exact.now(), fast.now());
-        compare_nodes(&exact, &fast, bit_exact_msrs);
+        compare_nodes(&exact, &fast, true);
     }
 }
 
@@ -217,7 +329,7 @@ proptest! {
         let quantum = quantum_us * US;
         let rapl_period = quantum * rapl_mult + rapl_skew_us.min(quantum_us - 1) * US;
         let (exact, fast) = node_pair(base_cfg(cores, quantum, rapl_period));
-        run_lockstep(exact, fast, seed, 40 * MS, 7 * MS, &[cap], true);
+        run_lockstep(exact, fast, seed, 40 * MS, 7 * MS, &[cap], Layout::Distinct);
     }
 
     /// Same contract under active fault plans: stuck/jumping energy
@@ -242,7 +354,36 @@ proptest! {
         let mut cfg = base_cfg(4, quantum, quantum * rapl_mult);
         cfg.faults = Some(Arc::new(plan));
         let (exact, fast) = node_pair(cfg);
-        run_lockstep(exact, fast, seed, 24 * MS, 3 * MS, &[Some(90.0), Some(60.0), None], true);
+        run_lockstep(
+            exact,
+            fast,
+            seed,
+            24 * MS,
+            3 * MS,
+            &[Some(90.0), Some(60.0), None],
+            Layout::Distinct,
+        );
+    }
+
+    /// The same contract on a full 24-core node whose cores share work:
+    /// all alike, two halves, A/B alternating, or all but one odd core.
+    /// The macro step evaluates a run of bitwise-equal packets once; this
+    /// holds it to the exact reference, and holds cores of one class to
+    /// bitwise-equal state after every step.
+    #[test]
+    fn step_until_matches_exact_on_symmetric_workloads(
+        seed in any::<u64>(),
+        layout in Layout::symmetric(),
+        quantum_us in 20u64..200,
+        rapl_mult in 1u64..24,
+        caps in prop::collection::vec(
+            prop_oneof![Just(None), (45.0f64..140.0).prop_map(Some)],
+            1..4,
+        ),
+    ) {
+        let quantum = quantum_us * US;
+        let (exact, fast) = node_pair(base_cfg(24, quantum, quantum * rapl_mult));
+        run_lockstep(exact, fast, seed, 40 * MS, 5 * MS, &caps, layout);
     }
 
     /// With the thermal model on, summation order inside a macro-step is
@@ -262,25 +403,42 @@ proptest! {
             ..ThermalConfig::default()
         });
         let (mut exact, mut fast) = node_pair(cfg);
-        run_lockstep_thermal_check(&mut exact, &mut fast, seed);
+        run_lockstep_thermal_check(&mut exact, &mut fast, seed, Layout::Distinct);
+    }
+
+    /// The thermal contract with cores sharing work.
+    #[test]
+    fn step_until_matches_exact_with_thermal_throttling_on_symmetric_workloads(
+        seed in any::<u64>(),
+        layout in Layout::symmetric(),
+        throttle_c in 55.0f64..80.0,
+    ) {
+        let mut cfg = base_cfg(24, 100 * US, MS);
+        cfg.thermal = Some(ThermalConfig {
+            throttle_c,
+            tau_s: 0.01,
+            ..ThermalConfig::default()
+        });
+        let (mut exact, mut fast) = node_pair(cfg);
+        run_lockstep_thermal_check(&mut exact, &mut fast, seed, layout);
+    }
+}
+
+/// [`random_work`], with idle turned into spinning so the package heats up.
+fn hot_work(rng: &mut Mix, now: Nanos) -> CoreWork {
+    match random_work(rng, now) {
+        CoreWork::Idle => CoreWork::Spin,
+        other => other,
     }
 }
 
 /// Thermal lockstep: besides the relaxed numeric contract, throttle state
 /// must agree at every event and boundary (a PROCHOT flip one quantum off
 /// would show up here before it shows up in the counters).
-fn run_lockstep_thermal_check(exact: &mut Node, fast: &mut Node, seed: u64) {
+fn run_lockstep_thermal_check(exact: &mut Node, fast: &mut Node, seed: u64, layout: Layout) {
     let cores = exact.cores();
     let mut rng = Mix(seed);
-    for c in 0..cores {
-        // Bias to compute so the package actually heats up.
-        let w = match random_work(&mut rng, 0) {
-            CoreWork::Idle => CoreWork::Spin,
-            other => other,
-        };
-        exact.assign(c, w);
-        fast.assign(c, w);
-    }
+    assign_fresh(layout, &mut rng, 0, [exact, fast], 0..cores, hot_work);
     let total = 60 * MS;
     while fast.now() < total {
         let deadline = (fast.now() + 5 * MS).min(total);
@@ -300,11 +458,11 @@ fn run_lockstep_thermal_check(exact: &mut Node, fast: &mut Node, seed: u64) {
                 fast.temperature_c().unwrap(),
             );
             assert_rel_close(te, tf, "temperature");
-            for &c in oe.completed.iter().chain(oe.woke.iter()) {
-                let w = random_work(&mut rng, fast.now());
-                exact.assign(c, w);
-                fast.assign(c, w);
-            }
+            assert_classes_stay_equal(exact, layout);
+            assert_classes_stay_equal(fast, layout);
+            let now = fast.now();
+            let freed = oe.completed.iter().chain(oe.woke.iter()).copied();
+            assign_fresh(layout, &mut rng, now, [exact, fast], freed, random_work);
             if oe.is_empty() {
                 break;
             }

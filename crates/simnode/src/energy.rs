@@ -2,8 +2,10 @@
 //!
 //! RAPL enforces an *average* power over a programmable time window, so the
 //! controller needs the average package power over the last `W` nanoseconds.
-//! [`EnergyMeter`] keeps cumulative energy samples in a ring and answers
-//! that query in O(1) amortised.
+//! [`EnergyMeter`] keeps cumulative energy samples in a ring, trimmed to
+//! the retention window in O(1) amortised per sample, and answers that
+//! query with a binary search over the ring: O(log n) in the samples
+//! retained.
 
 use std::collections::VecDeque;
 

@@ -242,11 +242,19 @@ impl RaplUnits {
         let esu = (raw >> 8) & 0x1F;
         let tu = (raw >> 16) & 0xF;
         Self {
-            power_w: (0.5f64).powi(pu as i32),
-            energy_j: (0.5f64).powi(esu as i32),
-            time_s: (0.5f64).powi(tu as i32),
+            power_w: exp2(-(pu as i32)),
+            energy_j: exp2(-(esu as i32)),
+            time_s: exp2(-(tu as i32)),
         }
     }
+}
+
+/// `2^e` built from its IEEE-754 bits, for the register fields' small
+/// integer exponents (`|e| <= 31`). Exact, so bit-equal to `powi`, but
+/// without its multiply loop.
+fn exp2(e: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&e));
+    f64::from_bits(((1023 + e) as u64) << 52)
 }
 
 /// Decoded `MSR_PKG_POWER_LIMIT` fields (power limit #1 only; the paper's
@@ -289,7 +297,7 @@ impl PowerLimit {
         };
         let y = (raw >> 17) & 0x1F;
         let f = (raw >> 22) & 0x3;
-        let window_s = (1.0 + f as f64 / 4.0) * (2.0f64).powi(y as i32) * units.time_s;
+        let window_s = (1.0 + f as f64 / 4.0) * exp2(y as i32) * units.time_s;
         Self {
             watts,
             window: (window_s * 1e9).round() as Nanos,
@@ -354,6 +362,14 @@ mod tests {
         assert!((u.power_w - 0.125).abs() < 1e-12);
         assert!((u.energy_j - 6.103515625e-5).abs() < 1e-15);
         assert!((u.time_s - 9.765625e-4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exp2_is_bit_equal_to_powi_over_every_field_exponent() {
+        for n in 0..32 {
+            assert_eq!(exp2(-n).to_bits(), 0.5f64.powi(n).to_bits(), "2^-{n}");
+            assert_eq!(exp2(n).to_bits(), 2.0f64.powi(n).to_bits(), "2^{n}");
+        }
     }
 
     #[test]

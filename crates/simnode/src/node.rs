@@ -18,6 +18,16 @@
 //! such *event horizon* and applying the k-quantum closed form in one
 //! shot, falling back to the exact single-quantum path within a quantum
 //! of any horizon.
+//!
+//! The proxy apps are rank-symmetric: most of the time every core holds a
+//! packet bitwise equal to its neighbour's. A macro step therefore
+//! evaluates a packet's closed form (compute and memory time, decay
+//! fraction, per-quantum counter and power terms) once and reuses it for
+//! the cores that follow with a bitwise-equal packet (`to_bits`, not
+//! `==`). Every core still adds its terms to the node's sums one by one,
+//! in core order, so the sums are bit-identical to evaluating each core
+//! afresh. [`Node::step`] evaluates every core on its own; it is the
+//! reference the macro step is tested against.
 
 use serde::{Deserialize, Serialize};
 
@@ -106,6 +116,20 @@ pub struct PacketState {
     pub mlp: f64,
     /// Pressure contribution (see [`WorkPacket::mem_weight`]).
     pub mem_weight: f64,
+}
+
+impl PacketState {
+    /// Bitwise equality of every field (`to_bits`, not `==`). Two cores
+    /// whose packets pass this test evolve through the same floating-point
+    /// operations on the same inputs, so the macro step computes their
+    /// per-quantum terms once and reuses them.
+    pub(crate) fn same_bits(&self, other: &Self) -> bool {
+        self.cycles_left.to_bits() == other.cycles_left.to_bits()
+            && self.misses_left.to_bits() == other.misses_left.to_bits()
+            && self.inst_left.to_bits() == other.inst_left.to_bits()
+            && self.mlp.to_bits() == other.mlp.to_bits()
+            && self.mem_weight.to_bits() == other.mem_weight.to_bits()
+    }
 }
 
 impl From<WorkPacket> for PacketState {
@@ -216,8 +240,33 @@ pub struct Node {
     tables: PStateTables,
     /// Reusable step result; cleared at the start of every step.
     outcome: StepOutcome,
-    /// Reusable per-core packet-decay fractions for the macro step.
-    scratch_rho: Vec<f64>,
+    /// Reusable per-core packet-decay plan for the macro step.
+    scratch_decay: Vec<Decay>,
+}
+
+/// Per-quantum terms of one computing core in a macro step. They depend
+/// only on the core's packet and node-wide settings, so a run of cores
+/// holding bitwise-equal packets shares one evaluation.
+#[derive(Debug, Clone, Copy)]
+struct ComputeTerms {
+    misses: f64,
+    bytes: f64,
+    inst: f64,
+    cycles: f64,
+    /// Dynamic-activity factor, clamped to 1.
+    activity: f64,
+    busy: f64,
+}
+
+/// What pass 3 of a macro step does to a core's packet.
+#[derive(Debug, Clone, Copy)]
+enum Decay {
+    /// No packet (idle, spinning or sleeping core).
+    Keep,
+    /// Shrink the packet by `rho` per quantum.
+    By(f64),
+    /// The packet is bitwise equal to the last decayed one: copy its result.
+    AsPrevious,
 }
 
 impl Node {
@@ -242,7 +291,7 @@ impl Node {
         Self {
             energy: EnergyMeter::new(retain * 2),
             next_rapl: cfg.rapl_period,
-            scratch_rho: vec![0.0; cfg.cores],
+            scratch_decay: vec![Decay::Keep; cfg.cores],
             cfg,
             now: 0,
             msr,
@@ -471,7 +520,11 @@ impl Node {
                 _ => 0.0,
             })
             .sum();
+        let pipe = self.cfg.uncore.pipe_rate(effective.uncore, pressure);
 
+        // The last packet whose completion horizon was folded into `k`: a
+        // bitwise-equal packet has the same horizon and cannot lower it.
+        let mut last: Option<&PacketState> = None;
         for work in &self.cores {
             match work {
                 CoreWork::Idle | CoreWork::Spin => {}
@@ -479,17 +532,15 @@ impl Node {
                     // Land the macro end exactly on the wake quantum.
                     k = k.min(quanta_to(*until));
                 }
+                CoreWork::Compute(ps) if last.is_some_and(|l| l.same_bits(ps)) => {}
                 CoreWork::Compute(ps) => {
+                    last = Some(ps);
                     let t_comp = if f_eff_hz > 0.0 {
                         ps.cycles_left / f_eff_hz
                     } else {
                         f64::INFINITY
                     };
-                    let service = self
-                        .cfg
-                        .uncore
-                        .service_rate(effective.uncore, pressure, ps.mlp);
-                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / service;
+                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / (pipe * ps.mlp);
                     let t_total = t_comp + t_mem;
                     // Stop one quantum short of the predicted completion so
                     // the completion decision itself is always taken by the
@@ -550,6 +601,7 @@ impl Node {
                 _ => 0.0,
             })
             .sum();
+        let pipe = self.cfg.uncore.pipe_rate(uncore_level, pressure);
 
         // Pass 1: per-quantum constants. While no horizon is crossed every
         // quantum of the macro step contributes identical increments —
@@ -568,8 +620,13 @@ impl Node {
         let mut aperf_q = 0.0;
         let mut mperf_q = 0.0;
 
+        // Terms of the last packet evaluated. A core holding a bitwise-equal
+        // packet reuses them, but every core still adds its own terms to
+        // the sums below, in core order, so each sum is bit-identical to
+        // evaluating every core afresh.
+        let mut last: Option<(&PacketState, ComputeTerms)> = None;
         for (i, work) in self.cores.iter().enumerate() {
-            self.scratch_rho[i] = 0.0;
+            self.scratch_decay[i] = Decay::Keep;
             let (activity, static_scale, busy_frac) = match work {
                 CoreWork::Idle => (0.0, 1.0, 0.0),
                 CoreWork::Sleep { .. } => {
@@ -583,30 +640,47 @@ impl Node {
                     (1.0, 1.0, 1.0)
                 }
                 CoreWork::Compute(ps) => {
-                    let t_comp = if f_eff_hz > 0.0 {
-                        ps.cycles_left / f_eff_hz
-                    } else {
-                        f64::INFINITY
+                    let t = match last {
+                        Some((lp, lt)) if lp.same_bits(ps) => {
+                            self.scratch_decay[i] = Decay::AsPrevious;
+                            lt
+                        }
+                        _ => {
+                            let t_comp = if f_eff_hz > 0.0 {
+                                ps.cycles_left / f_eff_hz
+                            } else {
+                                f64::INFINITY
+                            };
+                            let service = pipe * ps.mlp;
+                            let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / service;
+                            let t_total = t_comp + t_mem;
+                            debug_assert!(
+                                t_total > dt_s * k as f64,
+                                "macro step may not contain a completion"
+                            );
+                            let rho = dt_s / t_total;
+                            let u_comp = t_comp / t_total;
+                            let u_mem = t_mem / t_total;
+                            let misses = ps.misses_left * rho;
+                            let busy = (u_comp + u_mem).min(1.0);
+                            let t = ComputeTerms {
+                                misses,
+                                bytes: misses * self.cfg.uncore.bytes_per_miss,
+                                inst: ps.inst_left * rho,
+                                cycles: f_eff_hz * busy * dt_s,
+                                activity: (u_comp + u_mem * self.cfg.stall_dyn_frac).min(1.0),
+                                busy,
+                            };
+                            self.scratch_decay[i] = Decay::By(rho);
+                            last = Some((ps, t));
+                            t
+                        }
                     };
-                    let service = self.cfg.uncore.service_rate(uncore_level, pressure, ps.mlp);
-                    let t_mem = ps.misses_left * self.cfg.uncore.bytes_per_miss / service;
-                    let t_total = t_comp + t_mem;
-                    debug_assert!(
-                        t_total > dt_s * k as f64,
-                        "macro step may not contain a completion"
-                    );
-                    let rho = dt_s / t_total;
-                    self.scratch_rho[i] = rho;
-                    let u_comp = t_comp / t_total;
-                    let u_mem = t_mem / t_total;
-                    let misses_serviced = ps.misses_left * rho;
-                    bytes_q += misses_serviced * self.cfg.uncore.bytes_per_miss;
-                    inst_q += ps.inst_left * rho;
-                    let busy = (u_comp + u_mem).min(1.0);
-                    cycles_q += f_eff_hz * busy * dt_s;
-                    misses_q += misses_serviced;
-                    let activity = u_comp + u_mem * self.cfg.stall_dyn_frac;
-                    (activity.min(1.0), 1.0, busy)
+                    bytes_q += t.bytes;
+                    inst_q += t.inst;
+                    cycles_q += t.cycles;
+                    misses_q += t.misses;
+                    (t.activity, 1.0, t.busy)
                 }
             };
             let dyn_w = dyn_full_w * duty_frac * activity;
@@ -659,9 +733,11 @@ impl Node {
 
         // Pass 3: apply the k-quantum closed form with the span actually
         // executed. Over j quanta the remaining-work factor telescopes to
-        // (t_total - j·dt) / t_total, i.e. state shrinks by rho·j.
+        // (t_total - j·dt) / t_total, i.e. state shrinks by rho·j. A packet
+        // bitwise equal to the last one decayed takes its result as is.
         let kf = executed as f64;
         let end = start + executed * dt;
+        let mut last = None;
         for (i, work) in self.cores.iter_mut().enumerate() {
             match work {
                 CoreWork::Idle | CoreWork::Spin => {}
@@ -671,12 +747,17 @@ impl Node {
                         *work = CoreWork::Idle;
                     }
                 }
-                CoreWork::Compute(ps) => {
-                    let frac_k = self.scratch_rho[i] * kf;
-                    ps.cycles_left -= ps.cycles_left * frac_k;
-                    ps.misses_left -= ps.misses_left * frac_k;
-                    ps.inst_left -= ps.inst_left * frac_k;
-                }
+                CoreWork::Compute(ps) => match self.scratch_decay[i] {
+                    Decay::By(rho) => {
+                        let frac_k = rho * kf;
+                        ps.cycles_left -= ps.cycles_left * frac_k;
+                        ps.misses_left -= ps.misses_left * frac_k;
+                        ps.inst_left -= ps.inst_left * frac_k;
+                        last = Some(*ps);
+                    }
+                    Decay::AsPrevious => *ps = last.expect("a decayed packet precedes a copy"),
+                    Decay::Keep => unreachable!("pass 1 plans every computing core"),
+                },
             }
         }
         self.counters.instructions += inst_q * kf;
@@ -872,15 +953,16 @@ impl Node {
         self.acc_bytes = 0.0;
         self.acc_quanta = 0;
 
-        let window = PowerLimit::decode(self.msr.hw_read(MSR_PKG_POWER_LIMIT), self.msr.units())
-            .window
-            .max(self.cfg.rapl_period);
+        // Decoded once per tick: the window sizes the average and the cap
+        // feeds the controller.
+        let limit = PowerLimit::decode(self.msr.hw_read(MSR_PKG_POWER_LIMIT), self.msr.units());
+        let window = limit.window.max(self.cfg.rapl_period);
         let avg = self
             .energy
             .average_power(window.min(self.cfg.rapl_window * 4));
         let mut act = self
             .rapl
-            .control(&self.cfg, &self.msr, &self.tables, &snapshot, avg);
+            .control(&self.cfg, limit.watts, &self.tables, &snapshot, avg);
 
         // Honour user P-state / duty requests: hardware takes the minimum of
         // the OS request and RAPL's constraint, like real `IA32_PERF_CTL`

@@ -30,7 +30,6 @@ use crate::bandwidth::UncoreLevel;
 use crate::config::NodeConfig;
 use crate::ddcm::DutyCycle;
 use crate::freq::PState;
-use crate::msr::{MsrDevice, PowerLimit, MSR_PKG_POWER_LIMIT};
 use crate::power::PStateTables;
 
 /// Aggregate activity observed over the last control period, used by the
@@ -102,28 +101,29 @@ impl RaplController {
         }
     }
 
-    /// The cap decoded from the MSR at the last control decision, if any.
+    /// The cap in force at the last control decision, if any.
     pub fn last_limit(&self) -> Option<f64> {
         self.last_limit
     }
 
     /// Make a control decision for the next period.
     ///
-    /// `tables` must be built from `cfg`'s ladder and power model (the node
-    /// owns one); `avg_power` is the measured rolling-average package power
-    /// over the programmed RAPL window.
+    /// `cap` is the package limit decoded from `MSR_PKG_POWER_LIMIT`
+    /// ([`PowerLimit::watts`](crate::msr::PowerLimit::watts); `None` when
+    /// uncapped). `tables` must be built from `cfg`'s ladder and power
+    /// model (the node owns one); `avg_power` is the measured
+    /// rolling-average package power over the programmed RAPL window.
     pub fn control(
         &mut self,
         cfg: &NodeConfig,
-        msr: &MsrDevice,
+        cap: Option<f64>,
         tables: &PStateTables,
         activity: &ActivitySnapshot,
         avg_power: f64,
     ) -> Actuation {
-        let limit = PowerLimit::decode(msr.hw_read(MSR_PKG_POWER_LIMIT), msr.units());
-        self.last_limit = limit.watts;
+        self.last_limit = cap;
 
-        let Some(cap) = limit.watts else {
+        let Some(cap) = cap else {
             // Uncapped: run everything flat out.
             self.bias_w = 0.0;
             self.last_uncore = Some(cfg.uncore.max_level());
@@ -241,20 +241,6 @@ impl Default for RaplController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msr::MSR_PKG_POWER_LIMIT;
-    use crate::time::MS;
-
-    fn capped_msr(watts: f64) -> MsrDevice {
-        let mut msr = MsrDevice::default();
-        let units = msr.units();
-        let raw = PowerLimit {
-            watts: Some(watts),
-            window: 10 * MS,
-        }
-        .encode(units);
-        msr.write(MSR_PKG_POWER_LIMIT, raw).unwrap();
-        msr
-    }
 
     fn compute_bound(cores: usize) -> ActivitySnapshot {
         ActivitySnapshot {
@@ -281,9 +267,8 @@ mod tests {
     fn uncapped_runs_flat_out() {
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = MsrDevice::default();
         let mut r = RaplController::new();
-        let a = r.control(&cfg, &msr, &tables, &compute_bound(24), 150.0);
+        let a = r.control(&cfg, None, &tables, &compute_bound(24), 150.0);
         assert_eq!(a.pstate, cfg.ladder.max_pstate());
         assert_eq!(a.duty, DutyCycle::FULL);
         assert_eq!(a.uncore, cfg.uncore.max_level());
@@ -295,11 +280,11 @@ mod tests {
         // a higher frequency than memory-bound ones.
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(90.0);
+        let cap = Some(90.0);
         let mut r1 = RaplController::new();
         let mut r2 = RaplController::new();
-        let a_compute = r1.control(&cfg, &msr, &tables, &compute_bound(24), 90.0);
-        let a_memory = r2.control(&cfg, &msr, &tables, &memory_bound(24), 90.0);
+        let a_compute = r1.control(&cfg, cap, &tables, &compute_bound(24), 90.0);
+        let a_memory = r2.control(&cfg, cap, &tables, &memory_bound(24), 90.0);
         let f_c = cfg.ladder.mhz(a_compute.pstate);
         let f_m = cfg.ladder.mhz(a_memory.pstate);
         assert!(
@@ -314,9 +299,9 @@ mod tests {
         // (24 cores x ~1.05 W), so clock modulation must engage.
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(25.0);
+        let cap = Some(25.0);
         let mut r = RaplController::new();
-        let a = r.control(&cfg, &msr, &tables, &compute_bound(24), 25.0);
+        let a = r.control(&cfg, cap, &tables, &compute_bound(24), 25.0);
         assert_eq!(a.pstate, cfg.ladder.min_pstate());
         assert!(!a.duty.is_full(), "expected duty cycling under a 25 W cap");
     }
@@ -325,9 +310,9 @@ mod tests {
     fn stringent_cap_throttles_uncore_for_streaming() {
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(50.0);
+        let cap = Some(50.0);
         let mut r = RaplController::new();
-        let a = r.control(&cfg, &msr, &tables, &memory_bound(24), 50.0);
+        let a = r.control(&cfg, cap, &tables, &memory_bound(24), 50.0);
         assert!(
             a.uncore < cfg.uncore.max_level(),
             "expected uncore throttling for a streaming workload at 50 W"
@@ -341,10 +326,10 @@ mod tests {
         // constraint for its tiny traffic.
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(120.0);
+        let cap = Some(120.0);
         let mut r = RaplController::new();
         let act = compute_bound(24);
-        let a = r.control(&cfg, &msr, &tables, &act, 120.0);
+        let a = r.control(&cfg, cap, &tables, &act, 120.0);
         assert!(
             cfg.uncore.total_bw(a.uncore) > 4.0 * act.achieved_bw,
             "uncore bandwidth at level {:?} would constrain a 3 GB/s code",
@@ -357,13 +342,13 @@ mod tests {
     fn feedback_bias_pulls_budget_down_when_over_cap() {
         let cfg = NodeConfig::default();
         let tables = PStateTables::new(&cfg.ladder, &cfg.core_power);
-        let msr = capped_msr(80.0);
+        let cap = Some(80.0);
         let mut r = RaplController::new();
-        let a1 = r.control(&cfg, &msr, &tables, &compute_bound(24), 80.0);
+        let a1 = r.control(&cfg, cap, &tables, &compute_bound(24), 80.0);
         // Report sustained overshoot; chosen frequency must not increase.
         let mut last = a1.pstate;
         for _ in 0..20 {
-            let a = r.control(&cfg, &msr, &tables, &compute_bound(24), 95.0);
+            let a = r.control(&cfg, cap, &tables, &compute_bound(24), 95.0);
             assert!(a.pstate <= last);
             last = a.pstate;
         }
