@@ -137,6 +137,19 @@ if [[ "$run_tests" -eq 1 ]]; then
         exit 1
     }
     rm -rf "$paper_out"
+    echo "== repro loadgen golden diff (arbiterd producer and coordinator bit-identity)"
+    # tests/golden/loadgen_quick holds the CSV of the seeded 4-shard
+    # load-generation run: all five scenarios, the sharded one with
+    # batched wires and a shard kill -9'd mid-run. The sum_fp column
+    # fingerprints every tick's machine-wide Σ grants, so any drift in
+    # the producers, the service or the shard coordinator fails here.
+    loadgen_out="$(mktemp -d)"
+    target/release/repro loadgen --quick --shards 4 --seed 7 --out "$loadgen_out" >/dev/null
+    diff -r tests/golden/loadgen_quick "$loadgen_out" || {
+        echo "ci.sh: repro loadgen --quick --shards 4 --seed 7 drifted from the golden CSV" >&2
+        exit 1
+    }
+    rm -rf "$loadgen_out"
     echo "== job_power_manager example (feedback must beat uniform-static)"
     # The example exits non-zero when progress feedback fails to shorten
     # the leaky-node job, so running it checks its story, not just that
