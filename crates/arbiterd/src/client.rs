@@ -1,28 +1,35 @@
 //! The member-side grant client: timeouts, jittered backoff, and
 //! hold-last-grant degradation.
 //!
-//! [`GrantClient`] is the bridge between a cluster member and the
-//! daemon: it pushes telemetry upstream and implements
+//! [`GrantClient`] is the bridge between cluster members and the
+//! daemon: it pushes telemetry upstream for a contiguous span of
+//! shard-local node ids over one wire and implements
 //! [`cluster::GrantSource`], so [`cluster::ClusterNode::pull_grant`]
 //! works identically whether grants come from an in-process arbiter
-//! slice or over a lossy wire. Degradation is the design center, per
-//! Cerf et al.'s assumption that the runtime outlives its transport:
+//! slice or over a lossy wire. Every frame it sends follows the framing
+//! rule the daemon applies to grants: a lone member goes as a bare
+//! message, several go as one [`Msg::Batch`]. Degradation is the design
+//! center, per Cerf et al.'s assumption that the runtime outlives its
+//! transport:
 //!
-//! - **disconnected** → the member keeps the last grant it saw (a stale
+//! - **disconnected** → the members keep the last grant seen (a stale
 //!   cap is safe — the daemon froze the same value bitwise) and the
 //!   client reconnects under seeded jittered exponential backoff
 //!   ([`nrm::Backoff`], the same curve the resilient NRM daemon uses
 //!   for actuator re-probes);
 //! - **shed** ([`Msg::Busy`]) → the client honours the daemon's
-//!   `retry_after` hint and mutes telemetry, never retries hot;
+//!   `retry_after` hint and mutes telemetry for the whole wire, never
+//!   retries hot;
 //! - **NACKed** → the offending report is dropped, not resent: the
 //!   next epoch produces fresher telemetry anyway.
 
-use cluster::GrantSource;
+use std::ops::Range;
+
+use cluster::{GrantSource, NodeTelemetry};
 use nrm::Backoff;
 
 use crate::proto::Msg;
-use crate::wire::{Wire, WireError};
+use crate::wire::{send_members, Wire, WireError};
 
 /// Client-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,12 +38,23 @@ pub struct ClientStats {
     pub connects: u64,
     /// Link losses observed.
     pub disconnects: u64,
-    /// Reports suppressed while muted or down (hold-last-grant ticks).
+    /// Member reports suppressed while muted or down (hold-last-grant
+    /// ticks), counted per member.
     pub held: u64,
     /// [`Msg::Busy`] sheds honoured.
     pub busy: u64,
     /// [`Msg::Nack`] rejections observed.
     pub nacked: u64,
+}
+
+impl std::ops::AddAssign for ClientStats {
+    fn add_assign(&mut self, o: Self) {
+        self.connects += o.connects;
+        self.disconnects += o.disconnects;
+        self.held += o.held;
+        self.busy += o.busy;
+        self.nacked += o.nacked;
+    }
 }
 
 enum Link {
@@ -48,41 +66,51 @@ enum Link {
     },
 }
 
-/// A telemetry producer / grant consumer for one node.
+/// A telemetry producer / grant consumer for a span of nodes sharing
+/// one wire.
 pub struct GrantClient {
-    node: u32,
+    /// Shard-local node ids served (at least one).
+    nodes: Range<u32>,
     link: Link,
     /// Produces a fresh wire to the daemon, or `None` while the daemon
     /// is unreachable (each call is one connection attempt).
     connector: Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send>,
     backoff: Backoff,
-    /// Newest grant seen, W; held across outages.
+    /// Newest grant received, W; held across outages.
     last_grant: Option<f64>,
     /// Daemon tick of the newest grant.
     last_tick: u64,
-    /// Telemetry sequence — advances only when a report is actually
-    /// sent, so a recovered run's seq stream aligns with an uncrashed
-    /// reference regardless of how long the outage lasted.
+    /// Telemetry sequence, shared by every member — advances only when
+    /// a report is actually sent, so a recovered run's seq stream
+    /// aligns with an uncrashed reference regardless of how long the
+    /// outage lasted.
     seq: u64,
     /// Local poll counter (the client's clock).
     polls: u64,
     /// Busy-shed mute: no telemetry until this local poll.
     muted_until: u64,
+    /// Reused member buffer for outgoing frames.
+    scratch: Vec<Msg>,
     stats: ClientStats,
 }
 
 impl GrantClient {
-    /// Build a client for `node`. `connector` dials the daemon (or
-    /// hands over a pre-connected test pipe); `backoff_cap` and `seed`
-    /// shape the reconnect schedule.
+    /// Build a client for the shard-local ids `nodes`. `connector` dials
+    /// the daemon (or hands over a pre-connected test pipe);
+    /// `backoff_cap` and `seed` shape the reconnect schedule.
+    ///
+    /// # Panics
+    /// Panics when `nodes` is empty.
     pub fn new(
-        node: u32,
+        nodes: Range<u32>,
         connector: Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send>,
         backoff_cap: u32,
         seed: u64,
     ) -> Self {
+        assert!(!nodes.is_empty(), "a grant client serves at least one node");
         let mut c = Self {
-            node,
+            scratch: Vec::with_capacity(nodes.len()),
+            nodes,
             link: Link::Down { retry_in: 0 },
             connector,
             backoff: Backoff::new(backoff_cap, seed),
@@ -97,13 +125,28 @@ impl GrantClient {
         c
     }
 
+    /// Send `member(node)` for every served node in one frame over the
+    /// up link; a failed send takes the link down. Returns whether the
+    /// frame went out.
+    fn send_all(&mut self, member: impl FnMut(u32) -> Msg) -> bool {
+        let Link::Up(wire) = &mut self.link else {
+            return false;
+        };
+        let sent = send_each(wire.as_mut(), &self.nodes, &mut self.scratch, member).is_ok();
+        if !sent {
+            self.note_down();
+        }
+        sent
+    }
+
     fn try_connect(&mut self) {
         match (self.connector)() {
             Some(mut wire) => {
                 // Introduce ourselves; the daemon answers with the
-                // current grant so the cap recovers without waiting a
+                // current grants so the caps recover without waiting a
                 // full telemetry round.
-                if wire.send(&Msg::Hello { node: self.node }).is_ok() {
+                let hello = |node| Msg::Hello { node };
+                if send_each(wire.as_mut(), &self.nodes, &mut self.scratch, hello).is_ok() {
                     self.link = Link::Up(wire);
                     self.backoff.reset();
                     self.stats.connects += 1;
@@ -169,6 +212,8 @@ impl GrantClient {
             }
             Msg::Busy { retry_after } => {
                 self.stats.busy += 1;
+                // One member's shed mutes the whole wire: the daemon is
+                // telling this connection to slow down.
                 self.muted_until = self.polls + retry_after as u64;
             }
             Msg::Nack { .. } => {
@@ -180,44 +225,38 @@ impl GrantClient {
         }
     }
 
-    /// Offer this epoch's telemetry. Returns the seq it was sent under,
-    /// or `None` when held back (down, muted, or send failure) — the
-    /// member then simply keeps its current cap.
-    pub fn send_report(&mut self, report: &cluster::NodeTelemetry) -> Option<u64> {
-        if self.polls < self.muted_until {
-            self.stats.held += 1;
+    /// Offer this epoch's telemetry: `report(member, seq)` builds the
+    /// report of the `member`-th served node (0-based), and every member
+    /// goes under the same seq in one frame. Returns that seq, or `None`
+    /// when held back (down, muted, or send failure) — the members then
+    /// simply keep their current caps.
+    pub fn send_report(
+        &mut self,
+        mut report: impl FnMut(u32, u64) -> NodeTelemetry,
+    ) -> Option<u64> {
+        let members = self.nodes.len() as u64;
+        if self.polls < self.muted_until || !self.connected() {
+            self.stats.held += members;
             return None;
         }
-        let Link::Up(wire) = &mut self.link else {
-            self.stats.held += 1;
-            return None;
-        };
         let seq = self.seq + 1;
-        let msg = Msg::Telemetry {
-            node: self.node,
+        let first = self.nodes.start;
+        if self.send_all(|node| Msg::Telemetry {
+            node,
             seq,
-            report: *report,
-        };
-        match wire.send(&msg) {
-            Ok(()) => {
-                self.seq = seq;
-                Some(seq)
-            }
-            Err(_) => {
-                self.note_down();
-                self.stats.held += 1;
-                None
-            }
+            report: report(node - first, seq),
+        }) {
+            self.seq = seq;
+            Some(seq)
+        } else {
+            self.stats.held += members;
+            None
         }
     }
 
-    /// Keep the lease alive on an epoch without telemetry.
+    /// Keep the members' leases alive on an epoch without telemetry.
     pub fn heartbeat(&mut self) {
-        if let Link::Up(wire) = &mut self.link {
-            if wire.send(&Msg::Heartbeat { node: self.node }).is_err() {
-                self.note_down();
-            }
-        }
+        self.send_all(|node| Msg::Heartbeat { node });
     }
 
     /// Whether the link is currently up.
@@ -225,7 +264,7 @@ impl GrantClient {
         matches!(self.link, Link::Up(_))
     }
 
-    /// Newest grant seen, W (held across outages).
+    /// Newest grant received, W (held across outages).
     pub fn last_grant(&self) -> Option<f64> {
         self.last_grant
     }
@@ -235,16 +274,23 @@ impl GrantClient {
         self.last_tick
     }
 
-    /// The seq the next successful [`GrantClient::send_report`] will
-    /// consume — lets a driver generate telemetry keyed to it.
-    pub fn next_seq(&self) -> u64 {
-        self.seq + 1
-    }
-
     /// Client counters.
     pub fn stats(&self) -> ClientStats {
         self.stats
     }
+}
+
+/// Send `member(node)` for every node of `nodes` as one frame, staging
+/// the members in `scratch`.
+fn send_each(
+    wire: &mut dyn Wire,
+    nodes: &Range<u32>,
+    scratch: &mut Vec<Msg>,
+    member: impl FnMut(u32) -> Msg,
+) -> Result<(), WireError> {
+    scratch.clear();
+    scratch.extend(nodes.clone().map(member));
+    send_members(wire, scratch)
 }
 
 impl GrantSource for GrantClient {
@@ -276,7 +322,7 @@ mod tests {
     #[test]
     fn connects_says_hello_and_tracks_grants() {
         let (client_end, mut server_end) = PipeWire::pair();
-        let mut c = GrantClient::new(3, pipe_connector(vec![Some(client_end)]), 32, 1);
+        let mut c = GrantClient::new(3..4, pipe_connector(vec![Some(client_end)]), 32, 1);
         assert!(c.connected());
         assert_eq!(server_end.poll().unwrap(), Some(Msg::Hello { node: 3 }));
 
@@ -292,7 +338,7 @@ mod tests {
         assert_eq!(c.last_grant(), Some(88.5));
         assert_eq!(c.last_grant_tick(), 7);
 
-        let seq = c.send_report(&report()).unwrap();
+        let seq = c.send_report(|_, _| report()).unwrap();
         assert_eq!(seq, 1);
         assert!(matches!(
             server_end.poll().unwrap(),
@@ -308,7 +354,7 @@ mod tests {
     fn holds_last_grant_and_seq_across_an_outage() {
         let (a, server_a) = PipeWire::pair();
         let (b, mut server_b) = PipeWire::pair();
-        let mut c = GrantClient::new(0, pipe_connector(vec![Some(a), None, Some(b)]), 4, 9);
+        let mut c = GrantClient::new(0..1, pipe_connector(vec![Some(a), None, Some(b)]), 4, 9);
         // Deliver a grant, then kill the first pipe.
         let mut sa = server_a;
         sa.poll().unwrap(); // consume Hello
@@ -327,7 +373,7 @@ mod tests {
         c.advance();
         assert!(!c.connected());
         assert_eq!(c.last_grant(), Some(77.0), "hold-last-grant");
-        assert_eq!(c.send_report(&report()), None);
+        assert_eq!(c.send_report(|_, _| report()), None);
         assert!(c.stats().held >= 1);
 
         // Backoff eventually redials: attempt 1 fails (None), attempt 2
@@ -341,10 +387,14 @@ mod tests {
         assert!(c.connected(), "client must reconnect through backoff");
         assert_eq!(server_b.poll().unwrap(), Some(Msg::Hello { node: 0 }));
         // One settle poll after the redial, then telemetry resumes.
-        assert_eq!(c.send_report(&report()), None, "settling after redial");
+        assert_eq!(
+            c.send_report(|_, _| report()),
+            None,
+            "settling after redial"
+        );
         c.advance();
         // Seq resumes where it left off — nothing was consumed while down.
-        assert_eq!(c.send_report(&report()), Some(1));
+        assert_eq!(c.send_report(|_, _| report()), Some(1));
         assert!(c.stats().connects >= 2);
         assert_eq!(c.stats().disconnects, 1);
     }
@@ -352,23 +402,23 @@ mod tests {
     #[test]
     fn busy_shed_mutes_telemetry_for_the_hinted_window() {
         let (client_end, mut server_end) = PipeWire::pair();
-        let mut c = GrantClient::new(0, pipe_connector(vec![Some(client_end)]), 32, 5);
+        let mut c = GrantClient::new(0..1, pipe_connector(vec![Some(client_end)]), 32, 5);
         server_end.poll().unwrap(); // Hello
         server_end.send(&Msg::Busy { retry_after: 3 }).unwrap();
         c.advance();
         assert_eq!(c.stats().busy, 1);
-        assert_eq!(c.send_report(&report()), None, "muted after shed");
+        assert_eq!(c.send_report(|_, _| report()), None, "muted after shed");
         c.advance();
         c.advance();
-        assert_eq!(c.send_report(&report()), None, "still muted");
+        assert_eq!(c.send_report(|_, _| report()), None, "still muted");
         c.advance();
-        assert!(c.send_report(&report()).is_some(), "mute expires");
+        assert!(c.send_report(|_, _| report()).is_some(), "mute expires");
     }
 
     #[test]
     fn poll_grant_is_the_grant_source_bridge() {
         let (client_end, mut server_end) = PipeWire::pair();
-        let mut c = GrantClient::new(2, pipe_connector(vec![Some(client_end)]), 32, 2);
+        let mut c = GrantClient::new(2..3, pipe_connector(vec![Some(client_end)]), 32, 2);
         server_end.poll().unwrap();
         server_end
             .send(&Msg::Grant {
@@ -380,5 +430,52 @@ mod tests {
             .unwrap();
         let src: &mut dyn GrantSource = &mut c;
         assert_eq!(src.poll_grant(2), Some(64.25));
+    }
+
+    #[test]
+    fn a_group_client_frames_its_span_as_one_batch() {
+        let (a, mut server_a) = PipeWire::pair();
+        let (b, mut server_b) = PipeWire::pair();
+        let mut c = GrantClient::new(4..7, pipe_connector(vec![Some(a), Some(b)]), 4, 3);
+        let frame = |member: fn(u32) -> Msg| Some(Msg::Batch((4..7).map(member).collect()));
+        let hellos = frame(|node| Msg::Hello { node });
+        assert_eq!(server_a.poll().unwrap(), hellos, "one batched Hello");
+        c.advance();
+
+        // One telemetry frame: every member under the one seq, each
+        // report built from its member index.
+        let seq =
+            c.send_report(|j, seq| NodeTelemetry::compute_only(j as f64 + 1.0, seq as f64, 95.0));
+        assert_eq!(seq, Some(1));
+        let telemetry = frame(|node| Msg::Telemetry {
+            node,
+            seq: 1,
+            report: NodeTelemetry::compute_only((node - 3) as f64, 1.0, 95.0),
+        });
+        assert_eq!(server_a.poll().unwrap(), telemetry);
+        assert_eq!(server_a.poll().unwrap(), None, "exactly one frame");
+
+        // A shed mutes the whole wire: each muted tick holds 3 reports.
+        server_a.send(&Msg::Busy { retry_after: 2 }).unwrap();
+        c.advance();
+        assert_eq!(c.send_report(|_, _| report()), None);
+        assert_eq!(c.stats().held, 3);
+        c.advance();
+        assert_eq!(c.send_report(|_, _| report()), None);
+        assert_eq!(c.stats().held, 6);
+        c.advance();
+        assert_eq!(c.send_report(|_, _| report()), Some(2));
+
+        // After a hang-up the redial introduces the whole span again.
+        server_a.hang_up();
+        for _ in 0..64 {
+            c.advance();
+            if c.connected() {
+                break;
+            }
+        }
+        assert!(c.connected(), "client must redial");
+        assert_eq!(server_b.poll().unwrap(), hellos, "batched re-Hello");
+        assert_eq!(c.stats().disconnects, 1);
     }
 }

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use crate::proto::Msg;
 use crate::service::{ArbiterService, ServiceStats};
-use crate::wire::{TcpWire, Wire, WireError};
+use crate::wire::{send_members, TcpWire, Wire, WireError};
 
 use nrm::Backoff;
 
@@ -266,10 +266,10 @@ impl Drop for Daemon {
     }
 }
 
-/// Send `replies` down one wire as a single frame: one message goes as
-/// itself, several are wrapped in a [`Msg::Batch`]. Replies that are
-/// already batches (the service folds a batched ingest's replies) are
-/// flattened first — batches do not nest on the wire.
+/// Send `replies` down one wire as a single frame ([`send_members`]).
+/// Replies that are already batches (the service folds a batched
+/// ingest's replies) are flattened first — batches do not nest on the
+/// wire.
 fn send_batched(wire: &Arc<Mutex<TcpWire>>, replies: Vec<Msg>) {
     let mut flat: Vec<Msg> = Vec::with_capacity(replies.len());
     for r in replies {
@@ -280,11 +280,8 @@ fn send_batched(wire: &Arc<Mutex<TcpWire>>, replies: Vec<Msg>) {
     }
     // A dead route is cleaned up by its reader thread; a failed send
     // here just means the client reconnects and re-Hellos.
-    let mut w = wire.lock().unwrap();
-    if flat.len() == 1 {
-        w.send(&flat[0]).ok();
-    } else if !flat.is_empty() {
-        w.send(&Msg::Batch(flat)).ok();
+    if !flat.is_empty() {
+        send_members(&mut *wire.lock().unwrap(), &mut flat).ok();
     }
 }
 
@@ -413,6 +410,7 @@ mod tests {
     use super::*;
     use crate::client::GrantClient;
     use crate::service::ServiceConfig;
+    use crate::wire::spying_tcp_connector;
     use cluster::{ArbiterConfig, BudgetArbiter, NodeTelemetry, Policy, PowerArbiter};
 
     fn service(n: usize) -> ArbiterService {
@@ -449,7 +447,7 @@ mod tests {
         let daemon = Daemon::spawn(listener, service(2), Duration::from_millis(5)).unwrap();
 
         let mut clients: Vec<GrantClient> = (0..2u32)
-            .map(|i| GrantClient::new(i, tcp_connector(daemon.addr()), 32, i as u64))
+            .map(|i| GrantClient::new(i..i + 1, tcp_connector(daemon.addr()), 32, i as u64))
             .collect();
 
         // Everyone reports until a joint round funds the critical path
@@ -460,7 +458,7 @@ mod tests {
         loop {
             for (i, c) in clients.iter_mut().enumerate() {
                 c.advance();
-                c.send_report(&NodeTelemetry::compute_only(times[i], 1.0 / times[i], 95.0));
+                c.send_report(|_, _| NodeTelemetry::compute_only(times[i], 1.0 / times[i], 95.0));
             }
             if let (Some(g0), Some(g1)) = (clients[0].last_grant(), clients[1].last_grant()) {
                 if g1 > g0 {
@@ -484,12 +482,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let daemon = Daemon::spawn(listener, service(1), Duration::from_millis(5)).unwrap();
         let addr = daemon.addr();
-        let mut c = GrantClient::new(0, tcp_connector(addr), 8, 3);
-        c.send_report(&NodeTelemetry::compute_only(1.0, 1.0, 90.0));
+        let mut c = GrantClient::new(0..1, tcp_connector(addr), 8, 3);
+        c.send_report(|_, _| NodeTelemetry::compute_only(1.0, 1.0, 90.0));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while c.last_grant().is_none() && std::time::Instant::now() < deadline {
             c.advance();
-            c.send_report(&NodeTelemetry::compute_only(1.0, 1.0, 90.0));
+            c.send_report(|_, _| NodeTelemetry::compute_only(1.0, 1.0, 90.0));
             std::thread::sleep(Duration::from_millis(2));
         }
         let held = c.last_grant().expect("grant before the crash");
@@ -498,7 +496,7 @@ mod tests {
         // The outage: sends fail, the grant holds.
         for _ in 0..20 {
             c.advance();
-            c.send_report(&NodeTelemetry::compute_only(1.0, 1.0, 90.0));
+            c.send_report(|_, _| NodeTelemetry::compute_only(1.0, 1.0, 90.0));
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(c.last_grant(), Some(held), "hold-last-grant through crash");
@@ -523,50 +521,26 @@ mod tests {
 
     #[test]
     fn one_connection_multiplexes_many_nodes_with_batched_grants() {
-        // Four producers share one TCP connection: a batched Hello+
-        // telemetry frame up, one batched grant frame back per tick.
+        // Four producers share one TCP connection through one grouped
+        // client: a batched Hello and telemetry frame up, one batched
+        // grant frame back per tick. Every node must be answered.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let daemon = Daemon::spawn(listener, service(4), Duration::from_millis(5)).unwrap();
+        let granted = Arc::default();
+        let connector = spying_tcp_connector(daemon.addr(), Arc::clone(&granted));
+        let mut c = GrantClient::new(0..4, connector, 32, 1);
 
-        let stream = TcpStream::connect_timeout(&daemon.addr(), Duration::from_millis(250))
-            .expect("connect");
-        let mut wire = TcpWire::new(stream).expect("wire");
-        let hello = Msg::Batch((0..4).map(|node| Msg::Hello { node }).collect());
-        wire.send(&hello).expect("hello batch");
-
-        let mut grants = vec![None::<f64>; 4];
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut seq = 1;
-        while grants.iter().any(Option::is_none) {
-            let report = Msg::Batch(
-                (0..4u32)
-                    .map(|node| Msg::Telemetry {
-                        node,
-                        seq,
-                        report: NodeTelemetry::compute_only(1.0 + node as f64, 1.0, 95.0),
-                    })
-                    .collect(),
-            );
-            seq += 1;
-            wire.send(&report).ok();
-            while let Ok(Some(msg)) = wire.poll() {
-                let members = match msg {
-                    Msg::Batch(ms) => ms,
-                    m => vec![m],
-                };
-                for m in members {
-                    if let Msg::Grant { node, watts, .. } = m {
-                        grants[node as usize] = Some(watts);
-                    }
-                }
-            }
+        while granted.lock().unwrap().len() < 4 {
+            c.advance();
+            c.send_report(|j, _| NodeTelemetry::compute_only(1.0 + j as f64, 1.0, 95.0));
             assert!(
                 std::time::Instant::now() < deadline,
-                "all multiplexed nodes must be granted: {grants:?}"
+                "all multiplexed nodes must be granted: {granted:?}"
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        let sum: f64 = grants.iter().map(|g| g.unwrap()).sum();
+        let sum: f64 = daemon.grants().iter().sum();
         assert!(sum <= 400.0 + 1e-6, "Σ grants {sum} over budget");
         daemon.kill();
     }

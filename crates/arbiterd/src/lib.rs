@@ -30,9 +30,11 @@
 //!   of producers and a rack-style sub-budget, under a coordinator
 //!   that reuses [`cluster::OuterSolver`] so the machine budget splits
 //!   exactly as the in-process rack tree splits it.
-//! - [`client`] — the member side: hold-last-grant degradation,
-//!   jittered exponential reconnect backoff, shed-hint compliance; it
-//!   implements [`cluster::GrantSource`], so cluster members consume
+//! - [`client`] — the member side: one client serves a contiguous span
+//!   of node ids over one wire (a lone node in bare frames, several in
+//!   one [`Msg::Batch`] per round), with hold-last-grant degradation,
+//!   jittered exponential reconnect backoff and shed-hint compliance;
+//!   it implements [`cluster::GrantSource`], so cluster members consume
 //!   daemon grants exactly like in-process ones.
 //! - [`loadgen`] — the crate's one load generator: lockstep and
 //!   in-process, driving thousands of simulated producers with seeded

@@ -80,6 +80,18 @@ pub struct ServiceStats {
     pub snapshots: u64,
 }
 
+impl std::ops::AddAssign for ServiceStats {
+    fn add_assign(&mut self, o: Self) {
+        self.shed += o.shed;
+        self.rate_limited += o.rate_limited;
+        self.nacked += o.nacked;
+        self.duplicates += o.duplicates;
+        self.leases_expired += o.leases_expired;
+        self.rounds += o.rounds;
+        self.snapshots += o.snapshots;
+    }
+}
+
 /// The daemon core: one wrapped arbiter plus all the service state.
 pub struct ArbiterService {
     arbiter: Box<dyn BudgetArbiter>,

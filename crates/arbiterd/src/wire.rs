@@ -47,6 +47,25 @@ pub trait Wire: Send {
     fn poll(&mut self) -> Result<Option<Msg>, WireError>;
 }
 
+/// Send `members` as one frame: a lone message goes bare, several go as
+/// one [`Msg::Batch`]. This is the framing rule of every exchange that
+/// carries several nodes over one wire — grants down, and a grouped
+/// client's Hello, Heartbeat and Telemetry up. `members` keeps its
+/// allocation for the next frame.
+pub(crate) fn send_members(wire: &mut dyn Wire, members: &mut Vec<Msg>) -> Result<(), WireError> {
+    if members.len() == 1 {
+        return wire.send(&members[0]);
+    }
+    // `send` borrows the frame, so the member Vec survives the call and
+    // its allocation is handed back instead of regrown next time.
+    let frame = Msg::Batch(std::mem::take(members));
+    let sent = wire.send(&frame);
+    if let Msg::Batch(v) = frame {
+        *members = v;
+    }
+    sent
+}
+
 /// Shared state of one in-process pipe direction.
 type Lane = Arc<Mutex<VecDeque<Vec<u8>>>>;
 
@@ -421,6 +440,42 @@ impl<W: Wire> Wire for FaultyWire<W> {
         }
         self.inner.poll()
     }
+}
+
+/// A TCP connector for socket tests whose wires record, in `granted`,
+/// every node a telemetry grant (seq > 0) names, so a test can check
+/// that each member of a grouped client was answered.
+#[cfg(test)]
+pub(crate) fn spying_tcp_connector(
+    addr: std::net::SocketAddr,
+    granted: Arc<Mutex<std::collections::BTreeSet<u32>>>,
+) -> Box<dyn FnMut() -> Option<Box<dyn Wire>> + Send> {
+    struct Spy(TcpWire, Arc<Mutex<std::collections::BTreeSet<u32>>>);
+    impl Wire for Spy {
+        fn send(&mut self, msg: &Msg) -> Result<(), WireError> {
+            self.0.send(msg)
+        }
+        fn poll(&mut self) -> Result<Option<Msg>, WireError> {
+            let msg = self.0.poll()?;
+            let members = match &msg {
+                Some(Msg::Batch(ms)) => ms.as_slice(),
+                Some(m) => std::slice::from_ref(m),
+                None => &[],
+            };
+            for m in members {
+                if let Msg::Grant { node, seq: 1.., .. } = m {
+                    self.1.lock().unwrap().insert(*node);
+                }
+            }
+            Ok(msg)
+        }
+    }
+    Box::new(move || {
+        TcpStream::connect_timeout(&addr, std::time::Duration::from_millis(250))
+            .ok()
+            .and_then(|s| TcpWire::new(s).ok())
+            .map(|w| Box::new(Spy(w, granted.clone())) as Box<dyn Wire>)
+    })
 }
 
 #[cfg(test)]

@@ -268,11 +268,6 @@ fn single_shard_crash_recovers_while_peers_keep_serving() {
     };
     let crashed = run_loadgen(&crash_cfg);
     let replay = run_loadgen(&crash_cfg);
-    for p in [&ref_path, crash_cfg.snapshot_path.as_ref().unwrap()] {
-        for i in 0..2 {
-            std::fs::remove_file(format!("{}.s{i}", p.display())).ok();
-        }
-    }
 
     assert!(
         crashed.invariant_ok,

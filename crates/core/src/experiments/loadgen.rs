@@ -31,7 +31,7 @@ pub struct Config {
     /// Simulated telemetry producers per scenario.
     pub clients: usize,
     /// Arbiter shards in the `sharded` scenario (the other scenarios
-    /// always run the single-service legacy path).
+    /// always run one service owning the whole budget).
     pub shards: usize,
     /// Lockstep ticks per scenario.
     pub ticks: u64,
@@ -169,11 +169,10 @@ pub fn run(cfg: &Config) -> Result<Loadgen, ConfigError> {
         report: run_loadgen(&LoadgenConfig {
             faults: Some(hostile_faults(cfg)),
             crash_at: Some((cfg.ticks / 2).max(1)),
-            snapshot_path: Some(snap.clone()),
+            snapshot_path: Some(snap),
             ..base(cfg)
         }),
     });
-    std::fs::remove_file(&snap).ok();
 
     // The horizontal topology: the cohort spread over `cfg.shards`
     // arbiter shards under the outer budget coordinator, telemetry
@@ -194,20 +193,10 @@ pub fn run(cfg: &Config) -> Result<Loadgen, ConfigError> {
             faults: Some(hostile_faults(cfg)),
             crash_at: Some((cfg.ticks / 2).max(1)),
             crash_shard: Some(cfg.shards - 1),
-            snapshot_path: Some(shard_snap.clone()),
+            snapshot_path: Some(shard_snap),
             ..base(cfg)
         }),
     });
-    for i in 0..cfg.shards {
-        let p = if cfg.shards == 1 {
-            shard_snap.clone()
-        } else {
-            let mut s = shard_snap.clone().into_os_string();
-            s.push(format!(".s{i}"));
-            s.into()
-        };
-        std::fs::remove_file(p).ok();
-    }
 
     Ok(Loadgen { cells })
 }
