@@ -244,7 +244,9 @@ pub struct LoadgenReport {
     /// fresh post-crash grant (`None`: no crash, or recovery incomplete
     /// at run end).
     pub recovery_ticks: Option<u64>,
-    /// Times a disconnected client's held grant changed (must be 0).
+    /// Client calls after which a disconnected client's held grant had
+    /// changed or dropped to `None` since its link died (must be 0; see
+    /// `HoldWatch`).
     pub hold_violations: u64,
     /// Per-node grant log (global node order): seq → granted watts
     /// bits. The bitwise fingerprint recovery runs are compared on.
@@ -394,6 +396,42 @@ fn make_client(
     GrantClient::new(local, connector, cfg.backoff_cap, jitter_seed)
 }
 
+/// Hold-last-grant, checked from outside the client: from the moment a
+/// client's link is seen down until it reconnects, its last grant must
+/// stay the one it held when the link died, never changed and never
+/// dropped to `None`. A hang-up in `advance`, `send_report` or
+/// `heartbeat` starts an outage alike.
+#[derive(Default)]
+struct HoldWatch {
+    /// The grant held through the current outage; `None` while up.
+    held: Option<Option<f64>>,
+}
+
+impl HoldWatch {
+    /// Check `c` after one call that began holding `before`; `true` when
+    /// the call broke hold-last-grant. `absorbs` marks `advance`, which
+    /// may take in grants before its link dies: an outage it starts may
+    /// hold a newer grant than `before`, but never none instead of one.
+    fn breached(&mut self, c: &GrantClient, before: Option<f64>, absorbs: bool) -> bool {
+        let now = c.last_grant();
+        if c.connected() {
+            self.held = None;
+            return false;
+        }
+        match self.held {
+            Some(held) => held != now,
+            None => {
+                self.held = Some(now);
+                if absorbs {
+                    before.is_some() && now.is_none()
+                } else {
+                    before != now
+                }
+            }
+        }
+    }
+}
+
 /// Send one connection's consecutive grants as a single frame, draining
 /// `run` for reuse.
 fn flush_grants(conns: &mut BTreeMap<u32, PipeWire>, key: u32, run: &mut Vec<Msg>) {
@@ -466,6 +504,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     let mut telemetry_sent = 0u64;
     let mut pre_crash_stats = ServiceStats::default();
     let mut hold_violations = 0u64;
+    let mut holds: Vec<HoldWatch> = clients.iter().map(|_| HoldWatch::default()).collect();
     let mut recovery_ticks = None;
     let mut awaiting_recovery: Vec<bool> = Vec::new();
     // Grant-run staging, kept across ticks so batch frames reuse one
@@ -522,13 +561,11 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
 
         // Clients: drain inbound, run reconnect state machines, then
         // produce this tick's traffic.
-        for (global, c) in clients.iter_mut() {
-            let was_connected = c.connected();
-            let held_before = c.last_grant();
+        for ((global, c), hold) in clients.iter_mut().zip(&mut holds) {
+            let before = c.last_grant();
             c.advance();
-            if !was_connected && !c.connected() && held_before != c.last_grant() {
-                hold_violations += 1;
-            }
+            hold_violations += u64::from(hold.breached(c, before, true));
+            let before = c.last_grant();
             if t.is_multiple_of(cfg.report_every) {
                 let first = global.start as u32;
                 let sent =
@@ -539,6 +576,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
             } else {
                 c.heartbeat();
             }
+            hold_violations += u64::from(hold.breached(c, before, false));
         }
 
         // Server: ingest everything that arrived, reply in place.

@@ -7,8 +7,8 @@
 
 use cluster::{
     exchange, ramp_weights, run_cluster, ArbiterConfig, ClusterConfig, CommConfig, CommPattern,
-    HierarchyConfig, NodeSpec, NodeTelemetry, Policy, PowerArbiter, Preset, Topology,
-    WorkloadShape, DEFAULT_DAEMON_PERIOD,
+    HierarchyConfig, MachinePartition, NodeSpec, NodeTelemetry, Policy, PowerArbiter, Preset,
+    Topology, WorkloadShape, DEFAULT_DAEMON_PERIOD,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use simnode::config::NodeConfig;
@@ -298,6 +298,48 @@ fn bench_cluster(c: &mut Criterion) {
                 sched::simulate(black_box(&deep_cfg), sched::SchedPolicy::EcoBackfill).unwrap();
             assert!(out.min_envelope_slack_w >= -1e-6);
             black_box(out)
+        })
+    });
+
+    // One scheduler event's intra-job tick on its own: 32 running jobs of
+    // 8 nodes each fill a 256-node machine under its 75 W/node envelope,
+    // and each job's progress-feedback arbiter redistributes once through
+    // the machine partition, which re-checks the envelope after each.
+    // This is the per-event work `sched_2048jobs_256n` repeats thousands
+    // of times, without the admission pass around it.
+    let mut partition = MachinePartition::new(75.0 * 256.0).unwrap();
+    for job in 0..32 {
+        let arbiter = PowerArbiter::new(
+            ArbiterConfig {
+                budget_w: 8.0 * 72.0,
+                min_cap_w: 40.0,
+                max_cap_w: 130.0,
+                policy: Policy::ProgressFeedback { gain: 0.8 },
+            },
+            8,
+        )
+        .with_tracing(false);
+        partition.admit(job, Box::new(arbiter)).unwrap();
+    }
+    let job_reports: Vec<Vec<Option<NodeTelemetry>>> = (0..32)
+        .map(|job| {
+            (0..8)
+                .map(|i| {
+                    let compute_s = 0.9 + ((job * 8 + i) % 11) as f64 * 0.02;
+                    Some(NodeTelemetry::compute_only(
+                        compute_s,
+                        1.0 / compute_s,
+                        72.0,
+                    ))
+                })
+                .collect()
+        })
+        .collect();
+    g.bench_function("partition_tick_32jobs_256n", |b| {
+        b.iter(|| {
+            for (job, reports) in (0u32..).zip(&job_reports) {
+                black_box(partition.redistribute(job, black_box(reports)).unwrap());
+            }
         })
     });
 

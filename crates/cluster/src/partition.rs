@@ -15,6 +15,16 @@
 //! admission controller treats "does not fit" as a scheduling outcome,
 //! not a bug); a *violation* of the invariant by arbiters already
 //! admitted is a panic, because it can only be an implementation bug.
+//!
+//! A scheduler ticks every running job's arbiter at every event, and
+//! each tick is followed by the machine-wide check. So the partition
+//! caches each job's budget and Σ(grants) next to its arbiter. One job's
+//! round then costs O(its nodes) for the redistribution plus O(running
+//! jobs) f64 additions for the check, with no virtual calls into the
+//! other jobs' arbiters and no re-summing of their leaf grants. A job's
+//! grants change only through [`MachinePartition::redistribute`], which
+//! refreshes its cached sum from the grants it returns, so the cached
+//! sums equal a fresh re-sum bit for bit.
 
 use crate::arbiter::{BudgetArbiter, NodeTelemetry, EPS_W};
 use crate::error::{ConfigError, TelemetryError};
@@ -26,9 +36,47 @@ use crate::error::{ConfigError, TelemetryError};
 /// invariant checks — is in deterministic id order regardless of
 /// admission order. A flat slice (not a `BTreeMap`) keeps the per-tick
 /// sums free of out-of-line iterator calls.
+///
+/// `sums` runs parallel to `jobs` and caches each job's budget and
+/// Σ(grants): set on admission, dropped on release, and refreshed from
+/// the grants a redistribution returns. [`Self::committed_w`],
+/// [`Self::granted_w`] and [`Self::assert_envelope`] add up these cached
+/// values in id order, which is the order and the per-job `.sum()` of
+/// a fresh pass over the arbiters, so every sum is bit-identical to one.
 pub struct MachinePartition {
     envelope_w: f64,
     jobs: Vec<(u32, Box<dyn BudgetArbiter>)>,
+    sums: Vec<JobSums>,
+}
+
+/// One running job's cached contribution to the machine sums, W.
+#[derive(Clone, Copy)]
+struct JobSums {
+    budget_w: f64,
+    granted_w: f64,
+}
+
+fn committed(sums: &[JobSums]) -> f64 {
+    sums.iter().map(|s| s.budget_w).sum()
+}
+
+fn granted(sums: &[JobSums]) -> f64 {
+    sums.iter().map(|s| s.granted_w).sum()
+}
+
+/// The body of [`MachinePartition::assert_envelope`], on the cached sums
+/// alone so `redistribute` can run it while it still holds the grants.
+fn assert_envelope(envelope_w: f64, sums: &[JobSums]) {
+    let committed = committed(sums);
+    assert!(
+        committed <= envelope_w + EPS_W,
+        "committed {committed} W exceeds the {envelope_w} W envelope"
+    );
+    let granted = granted(sums);
+    assert!(
+        granted <= envelope_w + EPS_W,
+        "granted {granted} W exceeds the {envelope_w} W envelope"
+    );
 }
 
 impl MachinePartition {
@@ -46,6 +94,7 @@ impl MachinePartition {
         Ok(Self {
             envelope_w,
             jobs: Vec::new(),
+            sums: Vec::new(),
         })
     }
 
@@ -57,17 +106,14 @@ impl MachinePartition {
     /// Watts committed to running jobs: Σ over jobs of the arbiter's
     /// budget.
     pub fn committed_w(&self) -> f64 {
-        self.jobs.iter().map(|(_, a)| a.budget()).sum()
+        committed(&self.sums)
     }
 
     /// Watts actually granted to leaves right now: Σ over jobs of
     /// Σ(grants). Always ≤ [`Self::committed_w`], which is ≤ the
     /// envelope.
     pub fn granted_w(&self) -> f64 {
-        self.jobs
-            .iter()
-            .map(|(_, a)| a.grants().iter().sum::<f64>())
-            .sum()
+        granted(&self.sums)
     }
 
     /// Envelope headroom not committed to any job, W.
@@ -115,7 +161,15 @@ impl MachinePartition {
                 ),
             ));
         }
+        let granted_w = arbiter.grants().iter().sum();
         self.jobs.insert(at, (job, arbiter));
+        self.sums.insert(
+            at,
+            JobSums {
+                budget_w: budget,
+                granted_w,
+            },
+        );
         self.assert_envelope();
         Ok(())
     }
@@ -123,7 +177,10 @@ impl MachinePartition {
     /// Release a finished job, returning its arbiter (for trace
     /// inspection); `None` if the id is not running.
     pub fn release(&mut self, job: u32) -> Option<Box<dyn BudgetArbiter>> {
-        let out = self.slot(job).ok().map(|i| self.jobs.remove(i).1);
+        let out = self.slot(job).ok().map(|i| {
+            self.sums.remove(i);
+            self.jobs.remove(i).1
+        });
         self.assert_envelope();
         out
     }
@@ -146,9 +203,10 @@ impl MachinePartition {
                 got: reports.len(),
             });
         };
-        self.jobs[i].1.redistribute(reports)?;
-        self.assert_envelope();
-        Ok(self.jobs[i].1.grants())
+        let grants = self.jobs[i].1.redistribute(reports)?;
+        self.sums[i].granted_w = grants.iter().sum();
+        assert_envelope(self.envelope_w, &self.sums);
+        Ok(grants)
     }
 
     /// Where `job` sits in the id-sorted job list (`Err` = where it
@@ -165,27 +223,15 @@ impl MachinePartition {
 
     /// The machine-level conservation invariant, checked after every
     /// mutation: Σ(job budgets) ≤ envelope and Σ(all leaf grants) ≤
-    /// envelope.
+    /// envelope. Both sums run over the cached per-job sums, so the check
+    /// costs O(running jobs) additions.
     ///
     /// # Panics
     /// Panics on a violation — arbiters already maintain Σ(grants) ≤
     /// budget internally, so breaking this is a bug, not an operating
     /// condition.
     pub fn assert_envelope(&self) {
-        let committed = self.committed_w();
-        assert!(
-            committed <= self.envelope_w + EPS_W,
-            "committed {} W exceeds the {} W envelope",
-            committed,
-            self.envelope_w
-        );
-        let granted = self.granted_w();
-        assert!(
-            granted <= self.envelope_w + EPS_W,
-            "granted {} W exceeds the {} W envelope",
-            granted,
-            self.envelope_w
-        );
+        assert_envelope(self.envelope_w, &self.sums);
     }
 }
 

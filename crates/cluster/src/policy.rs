@@ -141,46 +141,48 @@ impl Allocator {
                 true
             }
             Allocator::Feedback { gain } => {
+                // Per-child compute times under a shared barrier: the
+                // critical child is the longest time. `max(0.0)` maps
+                // NaN and negative times to 0, so every time is a valid
+                // non-negative rate.
                 tmp.extend(telemetry.iter().map(|t| t.compute_s.max(0.0)));
-                // Per-child compute times under a shared barrier, so the
-                // imbalance algebra applies as-is: critical child =
-                // longest time. `analyze` also rejects NaNs for us.
-                match progress::imbalance::analyze(tmp) {
-                    Ok(rep) => {
-                        let mean_t: f64 = tmp.iter().sum::<f64>() / tmp.len() as f64;
-                        if mean_t <= 0.0 {
-                            out.extend_from_slice(grants);
-                        } else {
-                            out.extend(grants.iter().zip(tmp.iter()).zip(telemetry).map(
-                                |((&g, &t), tel)| {
-                                    // Behind the barrier mean (the
-                                    // critical path) ⇒ positive error
-                                    // ⇒ more watts; ahead ⇒ donate.
-                                    let err = (t - mean_t) / mean_t;
-                                    debug_assert!(
-                                        t < tmp[rep.critical_rank] + 1e-6 || err >= -1e-6,
-                                        "critical child must not donate"
-                                    );
-                                    // Comm-aware damping: a child that
-                                    // is slow because it is waiting on
-                                    // the wire cannot convert watts
-                                    // into barrier arrival time, so its
-                                    // error (boost *or* donation) is
-                                    // scaled by its compute fraction.
-                                    g * (1.0 + gain * err * tel.compute_fraction())
-                                },
-                            ));
-                        }
-                        true
-                    }
-                    // Degenerate telemetry (no usable times): keep the
-                    // current grants as the desire and let the waterfill
-                    // renormalize them into the pool.
-                    Err(_) => {
-                        out.extend_from_slice(grants);
-                        true
-                    }
+                let mean_t: f64 = tmp.iter().sum::<f64>() / tmp.len() as f64;
+                // No children, or no usable times: keep the current
+                // grants as the desire and let the waterfill renormalize
+                // them into the pool.
+                if tmp.is_empty() || mean_t <= 0.0 {
+                    out.extend_from_slice(grants);
+                    return true;
                 }
+                // Only the debug-build check below reads the critical time.
+                let critical_t = if cfg!(debug_assertions) {
+                    tmp.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+                } else {
+                    f64::INFINITY
+                };
+                out.extend(
+                    grants
+                        .iter()
+                        .zip(tmp.iter())
+                        .zip(telemetry)
+                        .map(|((&g, &t), tel)| {
+                            // Behind the barrier mean (the critical path)
+                            // ⇒ positive error ⇒ more watts; ahead ⇒
+                            // donate.
+                            let err = (t - mean_t) / mean_t;
+                            debug_assert!(
+                                t < critical_t + 1e-6 || err >= -1e-6,
+                                "critical child must not donate"
+                            );
+                            // Comm-aware damping: a child that is slow
+                            // because it is waiting on the wire cannot
+                            // convert watts into barrier arrival time, so
+                            // its error (boost *or* donation) is scaled by
+                            // its compute fraction.
+                            g * (1.0 + gain * err * tel.compute_fraction())
+                        }),
+                );
+                true
             }
         }
     }
@@ -652,6 +654,37 @@ mod tests {
             .desired(&[100.0, 100.0], &tel, 200.0, None)
             .expect("moves");
         assert!(d[1] > 100.0 && d[0] < 100.0, "{d:?}");
+    }
+
+    #[test]
+    fn feedback_desires_on_degenerate_times_are_pinned() {
+        let alloc = Policy::ProgressFeedback { gain: 1.0 }.allocator();
+        let times = |ts: &[f64]| -> Vec<NodeTelemetry> {
+            ts.iter()
+                .map(|&t| NodeTelemetry::compute_only(t, 1.0, 90.0))
+                .collect()
+        };
+        let bits = |d: Option<Vec<f64>>| -> Vec<u64> {
+            d.expect("feedback always desires")
+                .iter()
+                .map(|g| g.to_bits())
+                .collect()
+        };
+        // No reporting children: nothing to desire, but still a desire.
+        assert_eq!(alloc.desired(&[], &[], 100.0, None), Some(vec![]));
+        // No usable times (all zero, or all NaN): hold the grants exactly.
+        let held = bits(Some(vec![80.0, 120.0]));
+        for ts in [[0.0, 0.0], [f64::NAN, f64::NAN], [-1.0, -3.0]] {
+            let d = alloc.desired(&[80.0, 120.0], &times(&ts), 200.0, None);
+            assert_eq!(bits(d), held, "times {ts:?}");
+        }
+        // A NaN or negative time reads as 0 s: the child is far ahead
+        // of the mean and donates its whole error.
+        let moved = bits(Some(vec![0.0, 200.0]));
+        for ts in [[f64::NAN, 1.0], [-2.0, 1.0]] {
+            let d = alloc.desired(&[100.0, 100.0], &times(&ts), 200.0, None);
+            assert_eq!(bits(d), moved, "times {ts:?}");
+        }
     }
 
     #[test]

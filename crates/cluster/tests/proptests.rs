@@ -19,11 +19,18 @@
 //! - **purity/determinism** — re-pricing a scenario is bitwise identical
 //!   (the property that keeps `run_cluster` deterministic under rayon);
 //! - **monotonicity** — throttling a NIC never speeds anyone up.
+//!
+//! And for the machine partition, over arbitrary admit / release /
+//! redistribute sequences:
+//!
+//! - **cache coherence** — the cached per-job sums behind `committed_w`
+//!   and `granted_w` are bit-equal to a fresh id-order re-sum over the
+//!   running arbiters after every step.
 
 use cluster::policy::IncrementalFill;
 use cluster::{
-    exchange, ArbiterConfig, CommConfig, CommPattern, HierarchyConfig, LinkId, NodeTelemetry,
-    Policy, PowerArbiter, RackArbiter, Topology,
+    exchange, ArbiterConfig, CommConfig, CommPattern, HierarchyConfig, LinkId, MachinePartition,
+    NodeTelemetry, Policy, PowerArbiter, RackArbiter, Topology,
 };
 use proptest::prelude::*;
 
@@ -589,6 +596,121 @@ proptest! {
                     (round + 1) * n
                 );
             }
+        }
+    }
+}
+
+/// One step applied to a [`MachinePartition`]. Ids come from a small
+/// range so duplicate admissions, releases of idle ids and ticks for
+/// jobs that are not running all happen.
+#[derive(Debug, Clone)]
+enum PartitionOp {
+    /// Admit job `id` on `nodes` nodes with a budget of `watts_per_node`
+    /// per node (sometimes more than the headroom, which is refused).
+    Admit {
+        id: u32,
+        nodes: usize,
+        watts_per_node: f64,
+        policy: Policy,
+    },
+    /// Release job `id`.
+    Release { id: u32 },
+    /// Tick job `id` with the first `nodes` reports, plus one when
+    /// `bad_arity` (which the arbiter refuses, state untouched).
+    Redistribute {
+        id: u32,
+        reports: Vec<Option<NodeTelemetry>>,
+        bad_arity: bool,
+    },
+}
+
+const PARTITION_MAX_NODES: usize = 6;
+
+fn partition_op() -> impl Strategy<Value = PartitionOp> {
+    prop_oneof![
+        2 => (0u32..6, 1usize..=PARTITION_MAX_NODES, 40.0f64..140.0, policy()).prop_map(
+            |(id, nodes, watts_per_node, policy)| PartitionOp::Admit {
+                id,
+                nodes,
+                watts_per_node,
+                policy,
+            }
+        ),
+        1 => (0u32..6).prop_map(|id| PartitionOp::Release { id }),
+        5 => (
+            0u32..6,
+            prop::collection::vec(telemetry(), PARTITION_MAX_NODES + 1),
+            prop_oneof![9 => Just(false), 1 => Just(true)],
+        )
+            .prop_map(|(id, reports, bad_arity)| PartitionOp::Redistribute {
+                id,
+                reports,
+                bad_arity,
+            }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 128,
+        ..ProptestConfig::default()
+    })]
+
+    /// After every admit, release and redistribute — refused ones too —
+    /// `committed_w` and `granted_w` are bit-equal to a fresh id-order
+    /// Σ over the running arbiters, the same sums the envelope assertion
+    /// reads.
+    #[test]
+    fn partition_sums_match_a_fresh_resum(
+        ops in prop::collection::vec(partition_op(), 1..40),
+    ) {
+        let mut p = MachinePartition::new(1200.0).unwrap();
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                PartitionOp::Admit { id, nodes, watts_per_node, policy } => {
+                    let arbiter = PowerArbiter::new(
+                        ArbiterConfig {
+                            budget_w: *nodes as f64 * watts_per_node,
+                            min_cap_w: 30.0,
+                            max_cap_w: 150.0,
+                            policy: *policy,
+                        },
+                        *nodes,
+                    );
+                    let _ = p.admit(*id, Box::new(arbiter));
+                }
+                PartitionOp::Release { id } => {
+                    let _ = p.release(*id);
+                }
+                PartitionOp::Redistribute { id, reports, bad_arity } => {
+                    let n = p.arbiter(*id).map_or(1, |a| a.node_count());
+                    let _ = p.redistribute(*id, &reports[..n + usize::from(*bad_arity)]);
+                }
+            }
+            let fresh_committed: f64 = p
+                .job_ids()
+                .map(|id| p.arbiter(id).unwrap().budget())
+                .sum();
+            let fresh_granted: f64 = p
+                .job_ids()
+                .map(|id| p.arbiter(id).unwrap().grants().iter().sum::<f64>())
+                .sum();
+            prop_assert_eq!(
+                p.committed_w().to_bits(),
+                fresh_committed.to_bits(),
+                "step {}: committed {} W, fresh {} W",
+                step,
+                p.committed_w(),
+                fresh_committed
+            );
+            prop_assert_eq!(
+                p.granted_w().to_bits(),
+                fresh_granted.to_bits(),
+                "step {}: granted {} W, fresh {} W",
+                step,
+                p.granted_w(),
+                fresh_granted
+            );
         }
     }
 }
